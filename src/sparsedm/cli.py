@@ -21,12 +21,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
+import glob
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -162,10 +167,25 @@ def _parse_mu_list(raw: str) -> tuple[float, ...]:
         mus.append(value)
     if not mus:
         raise ConfigError("solver.mu: empty list")
+    seen: dict[str, float] = {}
     for value in mus:
         if math.isnan(value) or value <= 0:
             raise ConfigError(f"solver.mu must be positive (or inf), got {value}")
+        name = _run_dir_name(value)
+        if name in seen:
+            if seen[name] == value:
+                raise ConfigError(f"solver.mu: duplicate value {value!r}")
+            raise ConfigError(
+                f"solver.mu: values {seen[name]!r} and {value!r} would share "
+                f"the sweep directory {name}"
+            )
+        seen[name] = value
     return tuple(mus)
+
+
+def _run_dir_name(mu: float) -> str:
+    """Sweep subdirectory of one mu value."""
+    return f"mu_{mu:g}"
 
 
 def _existing_path(key: str, raw: str) -> Path:
@@ -349,24 +369,84 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0 if result.converged else 2
 
 
+class _BlasThreads(NamedTuple):
+    """Getter and setter of the thread count of numpy's OpenBLAS."""
+
+    get: Callable[[], int]
+    set: Callable[[int], None]
+
+
+@functools.cache
+def _blas_threads() -> _BlasThreads | None:
+    """Find numpy's OpenBLAS thread control through ctypes; None where there is none."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
+    if not libs:
+        return None
+    lib = ctypes.CDLL(libs[0])
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")):
+        get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return _BlasThreads(get, set_)
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Limit OpenBLAS to one thread inside the block, then restore its count.
+
+    The limit is process-wide: every thread's BLAS calls run on one
+    thread until the block exits. Without a thread control it does nothing.
+    """
+    control = _blas_threads()
+    if control is None:
+        yield
+        return
+    before = control.get()
+    control.set(1)
+    try:
+        yield
+    finally:
+        control.set(before)
+
+
+def _sweep_workers(n_runs: int) -> int:
+    """Pool size: SPARSEDM_SWEEP_THREADS, else the CPUs this process may run on.
+
+    Never more than n_runs, since each worker takes one mu value.
+    """
+    raw = os.environ.get(THREADS_ENV)
+    if raw is None:
+        try:
+            threads = len(os.sched_getaffinity(0))
+        except AttributeError:  # no CPU affinity on this platform
+            threads = os.cpu_count() or 1
+    else:
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ConfigError(f"{THREADS_ENV}: expected an integer, got {raw!r}") from None
+        if threads < 1:
+            raise ConfigError(f"{THREADS_ENV} must be at least 1, got {threads}")
+    return min(threads, n_runs)
+
+
 def cmd_sweep(cfg: RunConfig) -> int:
     out = _require_out(cfg)
     H = build_hamiltonian(cfg.ham, cfg.grid)
-    threads_raw = os.environ.get(THREADS_ENV)
-    if threads_raw is None:
-        threads = min(len(cfg.mus), os.cpu_count() or 1)
-    else:
-        try:
-            threads = max(1, int(threads_raw))
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV}: expected an integer, got {threads_raw!r}") from None
+    workers = _sweep_workers(len(cfg.mus))
 
     def run(mu: float):
-        return _run_one(cfg, H, mu, out / f"mu_{mu:g}")
+        return _run_one(cfg, H, mu, out / _run_dir_name(mu))
 
     status = 0
     rows = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    # Parallel solves share the cores, so each worker's BLAS gets one
+    # thread; a single solve keeps the default, which is faster for it.
+    blas = _one_blas_thread() if workers > 1 else nullcontext()
+    with blas, ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {mu: pool.submit(run, mu) for mu in cfg.mus}
         for mu in sorted(cfg.mus):
             try:

@@ -1,9 +1,11 @@
 """Dense symmetric-matrix kernels and the shared matrix text format.
 
-Matrices are plain float64 numpy arrays of shape (n, n). Symmetry is
-enforced by explicit symmetrization ``(A + A.T) / 2`` after every kernel,
-which is bitwise symmetric under IEEE arithmetic, so downstream code may
-rely on ``A[i, j] == A[j, i]`` exactly.
+Matrices are plain float64 numpy arrays of shape (n, n). The kernels
+preserve the exact symmetry of symmetric input: entrywise and diagonal
+maps do so by construction, and ``spectral_clamp``, whose matrix product
+does not, ends with the symmetrization ``(A + A.T) / 2``, which is
+bitwise symmetric under IEEE arithmetic. Downstream code may therefore
+rely on ``A[i, j] == A[j, i]`` exactly for outputs of symmetric input.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def soft_threshold(a: np.ndarray, t: float) -> np.ndarray:
     """Entrywise shrinkage sign(a) * max(|a| - t, 0)."""
     if t < 0:
         raise ValueError(f"threshold must be nonnegative, got {t}")
-    return symmetrize(np.sign(a) * np.maximum(np.abs(a) - t, 0.0))
+    return np.sign(a) * np.maximum(np.abs(a) - t, 0.0)
 
 
 def trace_shift_project(b: np.ndarray, n_occ: float) -> np.ndarray:
@@ -118,7 +120,7 @@ def trace_shift_project(b: np.ndarray, n_occ: float) -> np.ndarray:
     out = np.array(b, dtype=float, copy=True)
     shift = (float(np.trace(out)) - n_occ) / n
     out[np.diag_indices(n)] -= shift
-    return symmetrize(out)
+    return out
 
 
 def spectral_clamp(a: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ import numpy as np
 from .linalg import (
     entrywise_l1,
     fro_norm,
+    require_symmetric,
     soft_threshold,
     spectral_clamp,
     sym_eig,
@@ -214,14 +215,17 @@ def init_state(
 
 
 def step(state: SolverState, H: np.ndarray, params: SolverParams) -> SolverState:
-    """One full sweep of the five updates; returns a fresh state."""
+    """One full sweep of the five updates; returns a fresh state.
+
+    The iterates stay exactly symmetric when H and the state are.
+    """
     lam, r = params.lam, params.r
     B = (lam * (state.Q - state.b) + r * (state.R - state.d) - H) / (lam + r)
     P = trace_shift_project(B, params.n_occ)
     Q = soft_threshold(P + state.b, params.shrink_threshold)
     R = spectral_clamp(P + state.d)
-    b = symmetrize(state.b + P - Q)
-    d = symmetrize(state.d + P - R)
+    b = state.b + P - Q
+    d = state.d + P - R
     return SolverState(P=P, Q=Q, R=R, b=b, d=d, iteration=state.iteration + 1)
 
 
@@ -249,8 +253,12 @@ def solve(
 
     History is sampled every record_every iterations plus the final one.
     When saddle_ref is given, each record carries the saddle distance.
-    Hitting max_iter returns converged=False rather than raising.
+    Hitting max_iter returns converged=False rather than raising. H must
+    be symmetric within the tolerance of ``require_symmetric``.
     """
+    # The iterates are exactly symmetric only if H is; copy H only when not.
+    if not np.array_equal(H, H.T):
+        H = require_symmetric(H, name="H")
     state = init_state(H, params, initial)
     history: list[IterationRecord] = []
     converged = False

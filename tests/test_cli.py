@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from sparsedm import cli
 from sparsedm.cli import ConfigError, load_config, main, parse_config_text
 from sparsedm.linalg import read_matrix, write_matrix
 
@@ -64,6 +65,17 @@ def test_load_config_parses_mu_list_and_inf(tmp_path):
     loaded = load_config(cfg)
     assert loaded.mus == (5.0, 10.0, float("inf"))
     assert loaded.lam == 1.0 and loaded.r == 1.0
+
+
+@pytest.mark.parametrize("mus", ["10, 40, 10", "1, 1.0000001", "inf, 5, inf"])
+def test_load_config_rejects_colliding_mu_values(tmp_path, mus):
+    cfg = write_cfg(
+        tmp_path / "c.cfg",
+        "hamiltonian.kind = free_laplacian\ngrid.length = 10\ngrid.n = 8\n"
+        f"solver.mu = {mus}\nsolver.n_occ = 2\n",
+    )
+    with pytest.raises(ConfigError, match="solver.mu"):
+        load_config(cfg)
 
 
 def test_load_config_rejects_partial_saddle_reference(ex2_files):
@@ -197,10 +209,75 @@ def test_sweep_marks_unconverged_run_but_completes(tmp_path):
     assert len(rows) == 3  # header + both runs still measured
 
 
-def test_sweep_rejects_bad_thread_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPARSEDM_SWEEP_THREADS", "many")
+def test_sweep_rejects_bad_thread_env(tmp_path, monkeypatch, capsys):
     cfg = write_cfg(tmp_path / "s.cfg", sweep_cfg_text(tmp_path / "o"))
+    for value in ("many", "0", "-2"):
+        monkeypatch.setenv("SPARSEDM_SWEEP_THREADS", value)
+        assert main(["sweep", "--config", cfg]) == 1, value
+        assert "SPARSEDM_SWEEP_THREADS" in capsys.readouterr().err, value
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS thread control, set to 2 threads for the test."""
+    control = cli._blas_threads()
+    if control is None:
+        pytest.skip("no OpenBLAS thread control in this numpy build")
+    before = control.get()
+    control.set(2)
+    yield control
+    control.set(before)
+
+
+@pytest.mark.parametrize("workers, expected", [("2", 1), ("1", 2)])
+def test_sweep_workers_each_get_one_blas_thread(tmp_path, monkeypatch, blas_threads,
+                                                workers, expected):
+    seen = []
+
+    def recording_solve(*args, **kwargs):
+        seen.append(blas_threads.get())
+        return solve(*args, **kwargs)
+
+    solve = cli.solve
+    monkeypatch.setattr(cli, "solve", recording_solve)
+    monkeypatch.setenv("SPARSEDM_SWEEP_THREADS", workers)
+    cfg = write_cfg(tmp_path / "s.cfg", sweep_cfg_text(tmp_path / "o"))
+    assert main(["sweep", "--config", cfg]) == 0
+    assert seen == [expected, expected]
+    assert blas_threads.get() == 2
+
+
+def test_sweep_restores_blas_threads_on_failure(tmp_path, monkeypatch, capsys, blas_threads):
+    def failing_solve(H, params, **kwargs):
+        if params.mu == 40:
+            raise RuntimeError("boom")
+        return solve(H, params, **kwargs)
+
+    solve = cli.solve
+    monkeypatch.setattr(cli, "solve", failing_solve)
+    monkeypatch.setenv("SPARSEDM_SWEEP_THREADS", "2")
+    cfg = write_cfg(tmp_path / "s.cfg", sweep_cfg_text(tmp_path / "o"))
+    assert main(["sweep", "--config", cfg]) == 2
+    assert "mu=40 failed: boom" in capsys.readouterr().err
+    assert blas_threads.get() == 2
+
+    def failing_metrics(*args):
+        raise ValueError("bad metrics")
+
+    monkeypatch.setattr(cli, "energy_gap_metrics", failing_metrics)
     assert main(["sweep", "--config", cfg]) == 1
+    assert "bad metrics" in capsys.readouterr().err
+    assert blas_threads.get() == 2
+
+
+def test_sweep_outputs_do_not_depend_on_worker_count(tmp_path, monkeypatch):
+    for workers in ("1", "2"):
+        monkeypatch.setenv("SPARSEDM_SWEEP_THREADS", workers)
+        cfg = write_cfg(tmp_path / "s.cfg", sweep_cfg_text(tmp_path / workers, mus="10, 40, 100"))
+        assert main(["sweep", "--config", cfg]) == 0
+    for mu in ("mu_10", "mu_40", "mu_100"):
+        for name in ("P.mat", "Q.mat", "R.mat"):
+            assert (tmp_path / "1" / mu / name).read_bytes() == (tmp_path / "2" / mu / name).read_bytes()
 
 
 def test_exact_projector_and_spectrum(tmp_path):

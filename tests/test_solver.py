@@ -104,6 +104,18 @@ def test_iterates_stay_symmetric_and_trace_feasible():
         assert w[0] >= -1e-9 and w[-1] <= 1 + 1e-9
 
 
+def test_solve_symmetrizes_nearly_symmetric_h_and_rejects_asymmetric():
+    rng = np.random.default_rng(22)
+    h = random_symmetric(rng, 8, scale=2.0)
+    h[0, 1] = np.nextafter(h[0, 1], np.inf)
+    res = solve(h, SolverParams(mu=10.0, n_occ=3, max_iter=20))
+    for mat in (res.P, res.Q, res.R, res.b, res.d):
+        assert np.array_equal(mat, mat.T)
+    h[0, 1] += 1e-3
+    with pytest.raises(ValueError, match="H is asymmetric"):
+        solve(h, SolverParams(mu=10.0, n_occ=3))
+
+
 def test_small_instance_reaches_known_minimum():
     h = example2_h()
     res = solve(h, SolverParams(mu=1.0, n_occ=1, tol=1e-8))

@@ -4,14 +4,8 @@ matrices and CSV reports for later plotting.
 Subcommands: solve (one run), sweep (several mu values, optionally in
 parallel threads), exact (eigensolver reference projector), diagnose
 (measurements on a finished run). Configuration is a flat text file of
-`key = value` lines with dotted keys, e.g.
-
-    hamiltonian.kind = kronig_penney
-    grid.length = 100
-    grid.n = 256
-    solver.mu = 100
-    solver.n_occ = 10
-    output.dir = runs/kp10
+`key = value` lines with dotted keys; KEYS lists them all, and the
+README has an example.
 
 Exit codes: 0 success, 1 bad input, 2 solver hit max_iter (for sweeps:
 at least one run did).
@@ -24,9 +18,10 @@ import csv
 import ctypes
 import functools
 import glob
-import math
+import inspect
 import os
 import sys
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -62,62 +57,94 @@ from .solver import (
 
 THREADS_ENV = "SPARSEDM_SWEEP_THREADS"
 
-KNOWN_KEYS = {
-    "hamiltonian.kind",
-    "hamiltonian.path",
-    "hamiltonian.v0",
-    "hamiltonian.delta",
-    "hamiltonian.n_wells",
-    "hamiltonian.centers",
-    "grid.length",
-    "grid.n",
-    "solver.mu",
-    "solver.lambda",
-    "solver.r",
-    "solver.n_occ",
-    "solver.tol",
-    "solver.max_iter",
-    "solver.record_every",
-    "output.dir",
-    "initial.path",
-    "saddle.p",
-    "saddle.q",
-    "saddle.r",
-    "saddle.b",
-    "saddle.d",
-    "run.dir",
-    "diagnose.sites",
-    "diagnose.ritz_k",
-}
-
 
 class ConfigError(Exception):
-    """Invalid or missing configuration; the message names the field."""
+    """Invalid or missing configuration; the message names the config key."""
 
 
 @dataclass
 class RunConfig:
     ham: HamiltonianSpec
     grid: Grid1D | None
-    mus: tuple[float, ...]
-    n_occ: int
-    lam: float
-    r: float
-    tol: float
-    max_iter: int
-    record_every: int
-    out_dir: Path | None
-    initial_path: Path | None
-    saddle_paths: tuple[Path, Path, Path, Path, Path] | None
-    run_dir: Path | None
-    sites: tuple[int, ...] | None
-    ritz_k: int | None
+    runs: tuple[SolverParams, ...]
+    out_dir: Path | None = None
+    initial_path: Path | None = None
+    saddle_paths: SaddlePoint | None = None
+    run_dir: Path | None = None
+    sites: tuple[int, ...] | None = None
+    ritz_k: int | None = None
 
-    def solver_params(self, mu: float) -> SolverParams:
-        return SolverParams(
-            mu=mu, n_occ=self.n_occ, lam=self.lam, r=self.r,
-            tol=self.tol, max_iter=self.max_iter, record_every=self.record_every,
-        )
+
+def _list_of(parse: Callable[[str], object]) -> Callable[[str], tuple]:
+    return lambda raw: tuple(parse(part.strip()) for part in raw.split(","))
+
+
+def _existing_file(raw: str) -> Path:
+    path = Path(raw)
+    if not path.is_file():
+        raise ValueError(f"file not found: {path}")
+    return path
+
+
+def _path(raw: str) -> Path | None:
+    return Path(raw) if raw else None
+
+
+# Config key -> (class, field it sets, parser). Defaults and valid ranges
+# are the classes' own. The mu key gives one SolverParams per listed value,
+# and the saddle reference files fill a SaddlePoint of paths.
+KEYS: dict[str, tuple[type, str, Callable[[str], object]]] = {
+    "hamiltonian.kind": (HamiltonianSpec, "kind", str),
+    "hamiltonian.path": (HamiltonianSpec, "path", _existing_file),
+    "hamiltonian.v0": (HamiltonianSpec, "well_depth", float),
+    "hamiltonian.delta": (HamiltonianSpec, "well_width", float),
+    "hamiltonian.n_wells": (HamiltonianSpec, "n_wells", int),
+    "hamiltonian.centers": (HamiltonianSpec, "centers", _list_of(float)),
+    "grid.length": (Grid1D, "length", float),
+    "grid.n": (Grid1D, "n", int),
+    "solver.mu": (SolverParams, "mu", _list_of(float)),
+    "solver.lambda": (SolverParams, "lam", float),
+    "solver.r": (SolverParams, "r", float),
+    "solver.n_occ": (SolverParams, "n_occ", int),
+    "solver.tol": (SolverParams, "tol", float),
+    "solver.max_iter": (SolverParams, "max_iter", int),
+    "solver.record_every": (SolverParams, "record_every", int),
+    "output.dir": (RunConfig, "out_dir", _path),
+    "initial.path": (RunConfig, "initial_path", _existing_file),
+    "saddle.p": (SaddlePoint, "P", _existing_file),
+    "saddle.q": (SaddlePoint, "Q", _existing_file),
+    "saddle.r": (SaddlePoint, "R", _existing_file),
+    "saddle.b": (SaddlePoint, "b", _existing_file),
+    "saddle.d": (SaddlePoint, "d", _existing_file),
+    "run.dir": (RunConfig, "run_dir", _path),
+    "diagnose.sites": (RunConfig, "sites", _list_of(int)),
+    "diagnose.ritz_k": (RunConfig, "ritz_k", int),
+}
+
+
+def _key(cls: type, field: str) -> str:
+    """Config key that sets cls.field."""
+    return next(key for key, (c, f, _) in KEYS.items() if (c, f) == (cls, field))
+
+
+def _missing(cls: type, values: dict) -> list[str]:
+    """Keys of the fields of cls that have no default and no value."""
+    params = inspect.signature(cls).parameters
+    return [
+        key for key, (c, field, _) in KEYS.items()
+        if c is cls and field not in values and params[field].default is params[field].empty
+    ]
+
+
+def _build(cls: type, values: dict):
+    """cls(**values); a rejected value becomes a ConfigError naming its key.
+
+    The range checks of cls start their messages with the field name.
+    """
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{_key(cls, str(exc).split()[0])}: {exc}") from None
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -138,199 +165,78 @@ def parse_config_text(text: str) -> dict[str, str]:
     return entries
 
 
-def _take(entries: dict[str, str], key: str) -> str | None:
-    return entries.pop(key, None)
-
-
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-
-
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-
-
-def _parse_mu_list(raw: str) -> tuple[float, ...]:
-    mus = []
-    for part in raw.split(","):
-        part = part.strip()
-        if part.lower() == "inf":
-            mus.append(math.inf)
-            continue
-        value = _parse_float("solver.mu", part)
-        mus.append(value)
-    if not mus:
-        raise ConfigError("solver.mu: empty list")
-    seen: dict[str, float] = {}
-    for value in mus:
-        if math.isnan(value) or value <= 0:
-            raise ConfigError(f"solver.mu must be positive (or inf), got {value}")
-        name = _run_dir_name(value)
-        if name in seen:
-            if seen[name] == value:
-                raise ConfigError(f"solver.mu: duplicate value {value!r}")
-            raise ConfigError(
-                f"solver.mu: values {seen[name]!r} and {value!r} would share "
-                f"the sweep directory {name}"
-            )
-        seen[name] = value
-    return tuple(mus)
-
-
 def _run_dir_name(mu: float) -> str:
     """Sweep subdirectory of one mu value."""
     return f"mu_{mu:g}"
 
 
-def _existing_path(key: str, raw: str) -> Path:
-    path = Path(raw)
-    if not path.is_file():
-        raise ConfigError(f"{key}: file not found: {path}")
-    return path
+def _check_run_dirs(runs: tuple[SolverParams, ...]) -> None:
+    """Reject mu values that repeat or share a sweep directory."""
+    seen: dict[str, float] = {}
+    for params in runs:
+        name = _run_dir_name(params.mu)
+        if name in seen:
+            if seen[name] == params.mu:
+                raise ConfigError(f"{_key(SolverParams, 'mu')}: duplicate value {params.mu!r}")
+            raise ConfigError(
+                f"{_key(SolverParams, 'mu')}: values {seen[name]!r} and {params.mu!r} "
+                f"would share the sweep directory {name}"
+            )
+        seen[name] = params.mu
 
 
 def load_config(path: str | Path, out_override: str | None = None) -> RunConfig:
-    """Read and validate a config file; --out overrides output.dir."""
+    """Read and validate a config file; out_override replaces its output directory."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     entries = parse_config_text(text)
-    unknown = set(entries) - KNOWN_KEYS
+    unknown = sorted(set(entries) - KEYS.keys())
     if unknown:
-        raise ConfigError(f"unknown key '{sorted(unknown)[0]}'")
+        raise ConfigError(f"unknown key '{unknown[0]}'")
 
-    kind = _take(entries, "hamiltonian.kind")
-    if kind is None:
-        raise ConfigError("hamiltonian.kind is required")
-    if kind not in HamiltonianSpec.KINDS:
-        raise ConfigError(f"hamiltonian.kind must be one of {', '.join(HamiltonianSpec.KINDS)}; got {kind!r}")
-
-    ham_path = _take(entries, "hamiltonian.path")
-    v0 = _take(entries, "hamiltonian.v0")
-    delta = _take(entries, "hamiltonian.delta")
-    n_wells = _take(entries, "hamiltonian.n_wells")
-    centers_raw = _take(entries, "hamiltonian.centers")
-    centers = None
-    if centers_raw is not None:
-        centers = tuple(
-            _parse_float("hamiltonian.centers", part) for part in centers_raw.split(",")
-        )
-    try:
-        ham = HamiltonianSpec(
-            kind=kind,
-            well_depth=1.0 if v0 is None else _parse_float("hamiltonian.v0", v0),
-            well_width=3.0 if delta is None else _parse_float("hamiltonian.delta", delta),
-            n_wells=10 if n_wells is None else _parse_int("hamiltonian.n_wells", n_wells),
-            centers=centers,
-            path=None if ham_path is None else _existing_path("hamiltonian.path", ham_path),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"hamiltonian: {exc}") from None
-
-    length_raw = _take(entries, "grid.length")
-    n_raw = _take(entries, "grid.n")
-    grid = None
-    if kind != "from_file":
-        if length_raw is None or n_raw is None:
-            raise ConfigError(f"grid.length and grid.n are required for kind {kind}")
-    if length_raw is not None and n_raw is not None:
+    values: dict[type, dict] = defaultdict(dict)
+    for key, raw in entries.items():
+        cls, field, parse = KEYS[key]
         try:
-            grid = Grid1D(
-                length=_parse_float("grid.length", length_raw),
-                n=_parse_int("grid.n", n_raw),
-            )
+            values[cls][field] = parse(raw)
         except ValueError as exc:
-            raise ConfigError(f"grid: {exc}") from None
+            raise ConfigError(f"{key}: {exc}") from None
+    for cls in (HamiltonianSpec, SolverParams):
+        missing = _missing(cls, values[cls])
+        if missing:
+            raise ConfigError(f"{missing[0]} is required")
 
-    mu_raw = _take(entries, "solver.mu")
-    if mu_raw is None:
-        raise ConfigError("solver.mu is required")
-    mus = _parse_mu_list(mu_raw)
+    ham = _build(HamiltonianSpec, values[HamiltonianSpec])
+    grid = None
+    missing = _missing(Grid1D, values[Grid1D])
+    if not missing:
+        grid = _build(Grid1D, values[Grid1D])
+    elif ham.kind != "from_file":
+        raise ConfigError(f"{missing[0]} is required for kind {ham.kind}")
 
-    n_occ_raw = _take(entries, "solver.n_occ")
-    if n_occ_raw is None:
-        raise ConfigError("solver.n_occ is required")
-    n_occ = _parse_int("solver.n_occ", n_occ_raw)
-    if n_occ < 1:
-        raise ConfigError(f"solver.n_occ must be at least 1, got {n_occ}")
+    solver = values[SolverParams]
+    runs = tuple(_build(SolverParams, {**solver, "mu": mu}) for mu in solver["mu"])
+    _check_run_dirs(runs)
 
-    def scalar(key: str, default: float) -> float:
-        raw = _take(entries, key)
-        return default if raw is None else _parse_float(key, raw)
+    saddle = values[SaddlePoint]
+    if saddle and _missing(SaddlePoint, saddle):
+        keys = [key for key, (cls, _, _) in KEYS.items() if cls is SaddlePoint]
+        raise ConfigError(f"{', '.join(keys)} must be given together")
 
-    def integer(key: str, default: int) -> int:
-        raw = _take(entries, key)
-        return default if raw is None else _parse_int(key, raw)
-
-    lam = scalar("solver.lambda", 1.0)
-    r = scalar("solver.r", 1.0)
-    tol = scalar("solver.tol", 1e-6)
-    max_iter = integer("solver.max_iter", 10000)
-    record_every = integer("solver.record_every", 1)
-    for key, value, floor in (
-        ("solver.lambda", lam, 0.0), ("solver.r", r, 0.0), ("solver.tol", tol, 0.0),
-    ):
-        if not value > floor or math.isnan(value):
-            raise ConfigError(f"{key} must be positive, got {value}")
-    if max_iter < 1:
-        raise ConfigError(f"solver.max_iter must be at least 1, got {max_iter}")
-    if record_every < 1:
-        raise ConfigError(f"solver.record_every must be at least 1, got {record_every}")
-
-    out_raw = _take(entries, "output.dir")
-    out_dir = Path(out_override) if out_override else (Path(out_raw) if out_raw else None)
-
-    initial_raw = _take(entries, "initial.path")
-    initial_path = None if initial_raw is None else _existing_path("initial.path", initial_raw)
-
-    saddle_raws = [_take(entries, f"saddle.{name}") for name in ("p", "q", "r", "b", "d")]
-    saddle_paths = None
-    if any(raw is not None for raw in saddle_raws):
-        if any(raw is None for raw in saddle_raws):
-            raise ConfigError("saddle.p, saddle.q, saddle.r, saddle.b, saddle.d "
-                              "must be given together")
-        saddle_paths = tuple(
-            _existing_path(f"saddle.{name}", raw)
-            for name, raw in zip(("p", "q", "r", "b", "d"), saddle_raws)
-        )
-
-    run_raw = _take(entries, "run.dir")
-    run_dir = None if run_raw is None else Path(run_raw)
-
-    sites_raw = _take(entries, "diagnose.sites")
-    sites = None
-    if sites_raw is not None:
-        sites = tuple(_parse_int("diagnose.sites", part) for part in sites_raw.split(","))
-
-    ritz_raw = _take(entries, "diagnose.ritz_k")
-    ritz_k = None if ritz_raw is None else _parse_int("diagnose.ritz_k", ritz_raw)
-
-    return RunConfig(
-        ham=ham, grid=grid, mus=mus, n_occ=n_occ, lam=lam, r=r, tol=tol,
-        max_iter=max_iter, record_every=record_every, out_dir=out_dir,
-        initial_path=initial_path, saddle_paths=saddle_paths, run_dir=run_dir,
-        sites=sites, ritz_k=ritz_k,
-    )
+    run = values[RunConfig]
+    if out_override:
+        run["out_dir"] = Path(out_override)
+    return RunConfig(ham=ham, grid=grid, runs=runs,
+                     saddle_paths=SaddlePoint(**saddle) if saddle else None, **run)
 
 
 def _require_out(cfg: RunConfig) -> Path:
     if cfg.out_dir is None:
-        raise ConfigError("output.dir is required (or pass --out)")
+        raise ConfigError(f"{_key(RunConfig, 'out_dir')} is required (or pass --out)")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     return cfg.out_dir
-
-
-def _load_saddle(cfg: RunConfig) -> SaddlePoint | None:
-    if cfg.saddle_paths is None:
-        return None
-    return SaddlePoint(*(load_matrix(p) for p in cfg.saddle_paths))
 
 
 def _write_summary(path: Path, result: SolverResult, n_occ: float) -> None:
@@ -347,25 +253,28 @@ def _write_summary(path: Path, result: SolverResult, n_occ: float) -> None:
     path.write_text(header + "\n" + row + "\n")
 
 
-def _run_one(cfg: RunConfig, H: np.ndarray, mu: float, out: Path) -> SolverResult:
-    """Solve for one mu and write the standard run artifacts into out."""
+def _run_one(cfg: RunConfig, H: np.ndarray, params: SolverParams, out: Path) -> SolverResult:
+    """Solve one run and write the standard run artifacts into out."""
     initial = None if cfg.initial_path is None else load_matrix(cfg.initial_path)
-    result = solve(H, cfg.solver_params(mu), initial=initial, saddle_ref=_load_saddle(cfg))
+    saddle = None if cfg.saddle_paths is None else SaddlePoint(*map(load_matrix, cfg.saddle_paths))
+    result = solve(H, params, initial=initial, saddle_ref=saddle)
     out.mkdir(parents=True, exist_ok=True)
     write_matrix(out / "P.mat", result.P)
     write_matrix(out / "Q.mat", result.Q)
     write_matrix(out / "R.mat", result.R)
     write_history_csv(out / "history.csv", result.history)
-    _write_summary(out / "summary.csv", result, cfg.n_occ)
+    _write_summary(out / "summary.csv", result, params.n_occ)
     return result
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    if len(cfg.mus) != 1:
-        raise ConfigError(f"solver.mu: solve takes a single value, got {len(cfg.mus)}")
+    if len(cfg.runs) != 1:
+        raise ConfigError(
+            f"{_key(SolverParams, 'mu')}: solve takes a single value, got {len(cfg.runs)}"
+        )
     out = _require_out(cfg)
     H = build_hamiltonian(cfg.ham, cfg.grid)
-    result = _run_one(cfg, H, cfg.mus[0], out)
+    result = _run_one(cfg, H, cfg.runs[0], out)
     return 0 if result.converged else 2
 
 
@@ -436,10 +345,10 @@ def _sweep_workers(n_runs: int) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     out = _require_out(cfg)
     H = build_hamiltonian(cfg.ham, cfg.grid)
-    workers = _sweep_workers(len(cfg.mus))
+    workers = _sweep_workers(len(cfg.runs))
 
-    def run(mu: float):
-        return _run_one(cfg, H, mu, out / _run_dir_name(mu))
+    def run(params: SolverParams):
+        return _run_one(cfg, H, params, out / _run_dir_name(params.mu))
 
     status = 0
     rows = []
@@ -447,20 +356,20 @@ def cmd_sweep(cfg: RunConfig) -> int:
     # thread; a single solve keeps the default, which is faster for it.
     blas = _one_blas_thread() if workers > 1 else nullcontext()
     with blas, ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {mu: pool.submit(run, mu) for mu in cfg.mus}
-        for mu in sorted(cfg.mus):
+        futures = {params: pool.submit(run, params) for params in cfg.runs}
+        for params in sorted(futures, key=lambda p: p.mu):
             try:
-                result = futures[mu].result()
+                result = futures[params].result()
             except Exception as exc:
-                print(f"error: run mu={mu:g} failed: {exc}", file=sys.stderr)
+                print(f"error: run mu={params.mu:g} failed: {exc}", file=sys.stderr)
                 status = 2
                 continue
             if not result.converged:
                 status = 2
-            trhp, exact = energy_gap_metrics(result.P, H, cfg.n_occ)
+            trhp, exact = energy_gap_metrics(result.P, H, params.n_occ)
             rows.append((
-                mu, trhp, exact, entrywise_l1(result.P),
-                space_approximation(result.P, H, cfg.n_occ),
+                params.mu, trhp, exact, entrywise_l1(result.P),
+                space_approximation(result.P, H, params.n_occ),
                 sparsity_fraction(result.P),
             ))
     write_sweep_csv(out / "sweep.csv", rows)
@@ -470,9 +379,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
 def cmd_exact(cfg: RunConfig) -> int:
     out = _require_out(cfg)
     H = build_hamiltonian(cfg.ham, cfg.grid)
-    if cfg.n_occ > H.shape[0]:
-        raise ConfigError(f"solver.n_occ = {cfg.n_occ} exceeds the dimension {H.shape[0]}")
-    P = exact_density_matrix(H, cfg.n_occ)
+    n_occ = cfg.runs[0].n_occ
+    if n_occ > H.shape[0]:
+        raise ConfigError(
+            f"{_key(SolverParams, 'n_occ')} = {n_occ} exceeds the dimension {H.shape[0]}"
+        )
+    P = exact_density_matrix(H, n_occ)
     write_matrix(out / "P_exact.mat", P)
     w = np.linalg.eigvalsh(H)
     lines = ["index,eigenvalue"]
@@ -497,7 +409,7 @@ def _extract_saddle_csv(history_path: Path, dest: Path) -> None:
 
 def cmd_diagnose(cfg: RunConfig) -> int:
     if cfg.run_dir is None:
-        raise ConfigError("run.dir is required for diagnose")
+        raise ConfigError(f"{_key(RunConfig, 'run_dir')} is required for diagnose")
     p_path = cfg.run_dir / "P.mat"
     if not p_path.is_file():
         print(f"error: no solution found: {p_path} is missing", file=sys.stderr)
@@ -509,7 +421,8 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     n = H.shape[0]
     if P.shape[0] != n:
         raise ConfigError(
-            f"run.dir: {p_path} has dimension {P.shape[0]} but the Hamiltonian has {n}"
+            f"{_key(RunConfig, 'run_dir')}: {p_path} has dimension {P.shape[0]} "
+            f"but the Hamiltonian has {n}"
         )
 
     spectrum = occupation_numbers(P)
@@ -521,7 +434,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     for site, column in zip(sites, delta_projections(P, list(sites))):
         write_delta_csv(out / f"delta_site_{site}.csv", xs, column)
 
-    k = cfg.ritz_k if cfg.ritz_k is not None else cfg.n_occ
+    k = cfg.ritz_k if cfg.ritz_k is not None else cfg.runs[0].n_occ
     ritz, exact = ritz_compare(P, H, k)
     lines = ["index,eig_PH,eig_H"]
     lines += [

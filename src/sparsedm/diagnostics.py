@@ -14,12 +14,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import symmetrize, sym_eig, trace_product
-from .solver import SaddlePoint, saddle_distance
 
 __all__ = [
     "DegenerateGapWarning",
     "OccupationSpectrum",
-    "SaddlePoint",
     "band_occupations",
     "delta_projections",
     "energy_gap_metrics",
@@ -27,7 +25,6 @@ __all__ = [
     "filtered_density_matrix",
     "occupation_numbers",
     "ritz_compare",
-    "saddle_distance",
     "space_approximation",
     "sparsity_fraction",
     "write_delta_csv",

@@ -33,9 +33,9 @@ class Grid1D:
 
     def __post_init__(self):
         if self.n < 3:
-            raise ValueError(f"grid needs at least 3 points, got {self.n}")
+            raise ValueError(f"n must be at least 3 grid points, got {self.n}")
         if not self.length > 0:
-            raise ValueError(f"grid length must be positive, got {self.length}")
+            raise ValueError(f"length must be positive, got {self.length}")
 
     @property
     def spacing(self) -> float:
@@ -68,7 +68,7 @@ class HamiltonianSpec:
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
-            raise ValueError(f"unknown hamiltonian kind {self.kind!r}, expected one of {self.KINDS}")
+            raise ValueError(f"kind must be one of {', '.join(self.KINDS)}; got {self.kind!r}")
         if self.kind == "kronig_penney":
             if self.well_depth < 0:
                 raise ValueError(f"well_depth must be nonnegative, got {self.well_depth}")
@@ -77,7 +77,7 @@ class HamiltonianSpec:
             if self.n_wells < 1:
                 raise ValueError(f"n_wells must be at least 1, got {self.n_wells}")
         if self.kind == "from_file" and not self.path:
-            raise ValueError("from_file hamiltonian requires a path")
+            raise ValueError("path is required for kind from_file")
 
 
 def default_well_centers(length: float, n_wells: int) -> np.ndarray:

@@ -251,6 +251,7 @@ def solve(
 ) -> SolverResult:
     """Iterate until max(||P-Q||, ||P-R||, ||P_k - P_{k-1}||) <= tol * max(1, ||P||).
 
+    Convergence also requires ||P|| and the three residuals to be finite.
     History is sampled every record_every iterations plus the final one.
     When saddle_ref is given, each record carries the saddle distance.
     Hitting max_iter returns converged=False rather than raising. H must
@@ -268,7 +269,10 @@ def solve(
         residual_q = fro_norm(state.P - state.Q)
         residual_r = fro_norm(state.P - state.R)
         delta_p = fro_norm(state.P - prev_p)
-        converged = max(residual_q, residual_r, delta_p) <= params.tol * max(1.0, fro_norm(state.P))
+        p_norm = fro_norm(state.P)
+        # A blown-up iterate would pass the relative test (inf <= tol * inf).
+        converged = (math.isfinite(p_norm + residual_q + residual_r + delta_p)
+                     and max(residual_q, residual_r, delta_p) <= params.tol * max(1.0, p_norm))
         final = converged or k == params.max_iter
         if k % params.record_every == 0 or final:
             history.append(IterationRecord(

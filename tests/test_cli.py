@@ -1,4 +1,6 @@
 import csv
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,9 @@ from sparsedm.cli import ConfigError, load_config, main, parse_config_text
 from sparsedm.linalg import read_matrix, write_matrix
 
 from helpers import example2_h, example2_saddle
+
+# The sweep fixtures use a gapped occupation, so a degenerate level is a bug.
+pytestmark = pytest.mark.filterwarnings("error::sparsedm.diagnostics.DegenerateGapWarning")
 
 
 def write_cfg(path, text):
@@ -63,8 +68,8 @@ def test_load_config_parses_mu_list_and_inf(tmp_path):
         "solver.mu = 5, 10, inf\nsolver.n_occ = 2\n",
     )
     loaded = load_config(cfg)
-    assert loaded.mus == (5.0, 10.0, float("inf"))
-    assert loaded.lam == 1.0 and loaded.r == 1.0
+    assert tuple(params.mu for params in loaded.runs) == (5.0, 10.0, float("inf"))
+    assert loaded.runs[0].lam == 1.0 and loaded.runs[0].r == 1.0
 
 
 @pytest.mark.parametrize("mus", ["10, 40, 10", "1, 1.0000001", "inf, 5, inf"])
@@ -96,6 +101,52 @@ def test_load_config_rejects_missing_file(tmp_path):
     )
     with pytest.raises(ConfigError, match="hamiltonian.path"):
         load_config(cfg)
+
+
+KP_CFG = (
+    "hamiltonian.kind = kronig_penney\ngrid.length = 10\ngrid.n = 8\n"
+    "solver.mu = 1\nsolver.n_occ = 1\n"
+)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("solver.mu", "0"),
+    ("solver.lambda", "-1"),
+    ("solver.r", "0"),
+    ("solver.tol", "nan"),
+    ("solver.max_iter", "0"),
+    ("solver.record_every", "0"),
+    ("solver.n_occ", "0"),
+    ("hamiltonian.kind", "bogus"),
+    ("hamiltonian.v0", "-1"),
+    ("hamiltonian.delta", "0"),
+    ("hamiltonian.n_wells", "0"),
+    ("grid.n", "2"),
+    ("grid.length", "0"),
+])
+def test_load_config_error_names_the_bad_key(tmp_path, key, value):
+    lines = [line for line in KP_CFG.splitlines() if not line.startswith(key + " ")]
+    cfg = write_cfg(tmp_path / "c.cfg", "\n".join(lines + [f"{key} = {value}"]) + "\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+        load_config(cfg)
+
+
+def test_load_config_from_file_without_path_names_the_path_key(tmp_path):
+    cfg = write_cfg(
+        tmp_path / "c.cfg", "hamiltonian.kind = from_file\nsolver.mu = 1\nsolver.n_occ = 1\n"
+    )
+    with pytest.raises(ConfigError, match="hamiltonian.path"):
+        load_config(cfg)
+
+
+def test_load_config_accepts_readme_example(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    cfg = write_cfg(tmp_path / "kp10.cfg", block)
+    loaded = load_config(cfg)
+    assert loaded.ham.kind == "kronig_penney"
+    assert loaded.grid.n == 256
+    assert [params.mu for params in loaded.runs] == [100.0]
 
 
 def solve_cfg_text(ex2_files, out, with_saddle=False, extra=""):
@@ -170,7 +221,7 @@ def test_out_flag_overrides_config(ex2_files):
 def sweep_cfg_text(out, mus="10, 40", extra=""):
     return (
         f"hamiltonian.kind = free_laplacian\ngrid.length = 10\ngrid.n = 16\n"
-        f"solver.mu = {mus}\nsolver.n_occ = 2\nsolver.lambda = 10\nsolver.r = 10\n"
+        f"solver.mu = {mus}\nsolver.n_occ = 3\nsolver.lambda = 10\nsolver.r = 10\n"
         f"solver.max_iter = 4000\noutput.dir = {out}\n" + extra
     )
 

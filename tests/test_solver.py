@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sparsedm.diagnostics import exact_density_matrix
+from sparsedm.hamiltonian import Grid1D, build_laplacian_1d
 from sparsedm.linalg import fro_norm
 from sparsedm.solver import (
     IterationRecord,
@@ -183,6 +184,16 @@ def test_max_iter_exhaustion_reports_not_converged():
     assert not res.converged
     assert res.iterations == 3
     assert res.history[-1].iteration == 3
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_blown_up_iterate_is_not_converged():
+    # ||P|| overflows to inf, so the relative stopping test alone would pass.
+    h = 1e200 * build_laplacian_1d(Grid1D(10.0, 16))
+    res = solve(h, SolverParams(mu=10, n_occ=2, max_iter=50))
+    assert fro_norm(res.P) == math.inf
+    assert not res.converged
+    assert res.iterations == 50
 
 
 def test_objective_drops_l1_term_when_disabled():

@@ -4,112 +4,17 @@ Computes sparse representations of the low-lying eigenspace of a symmetric
 matrix by minimizing tr(H P) + (1/mu) ||P||_1 over density matrices
 (symmetric, trace N, eigenvalues in [0, 1]) with a three-block split
 Bregman iteration, plus the diagnostics and CLI used to study the results.
+
+The package exports the public names of its modules; each module's
+``__all__`` is the one list of them.
 """
 
-from .diagnostics import (
-    DegenerateGapWarning,
-    OccupationSpectrum,
-    band_occupations,
-    delta_projections,
-    energy_gap_metrics,
-    exact_density_matrix,
-    filtered_density_matrix,
-    occupation_numbers,
-    ritz_compare,
-    space_approximation,
-    sparsity_fraction,
-)
-from .hamiltonian import (
-    Grid1D,
-    HamiltonianSpec,
-    build_hamiltonian,
-    build_kronig_penney,
-    build_laplacian_1d,
-    default_well_centers,
-    load_matrix,
-    sample_kp_potential,
-)
-from .linalg import (
-    AsymmetricMatrixError,
-    EigenSolverError,
-    MatrixFormatError,
-    SpectralDecomposition,
-    entrywise_l1,
-    fro_norm,
-    read_matrix,
-    require_symmetric,
-    soft_threshold,
-    spectral_clamp,
-    sym_eig,
-    symmetrize,
-    trace_product,
-    trace_shift_project,
-    write_matrix,
-)
-from .solver import (
-    FeasibilityReport,
-    IterationRecord,
-    SaddlePoint,
-    SolverParams,
-    SolverResult,
-    SolverState,
-    feasibility,
-    init_state,
-    objective,
-    saddle_distance,
-    solve,
-    step,
-    write_history_csv,
-)
+from . import diagnostics, hamiltonian, linalg, solver
+from .diagnostics import *  # noqa: F403
+from .hamiltonian import *  # noqa: F403
+from .linalg import *  # noqa: F403
+from .solver import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymmetricMatrixError",
-    "DegenerateGapWarning",
-    "EigenSolverError",
-    "FeasibilityReport",
-    "Grid1D",
-    "HamiltonianSpec",
-    "IterationRecord",
-    "MatrixFormatError",
-    "OccupationSpectrum",
-    "SaddlePoint",
-    "SolverParams",
-    "SolverResult",
-    "SolverState",
-    "SpectralDecomposition",
-    "band_occupations",
-    "build_hamiltonian",
-    "build_kronig_penney",
-    "build_laplacian_1d",
-    "default_well_centers",
-    "delta_projections",
-    "energy_gap_metrics",
-    "entrywise_l1",
-    "exact_density_matrix",
-    "feasibility",
-    "filtered_density_matrix",
-    "fro_norm",
-    "init_state",
-    "load_matrix",
-    "objective",
-    "occupation_numbers",
-    "read_matrix",
-    "require_symmetric",
-    "ritz_compare",
-    "saddle_distance",
-    "sample_kp_potential",
-    "soft_threshold",
-    "solve",
-    "space_approximation",
-    "sparsity_fraction",
-    "spectral_clamp",
-    "step",
-    "sym_eig",
-    "symmetrize",
-    "trace_product",
-    "trace_shift_project",
-    "write_matrix",
-    "write_history_csv",
-]
+__all__ = [name for mod in (diagnostics, hamiltonian, linalg, solver) for name in mod.__all__]

@@ -45,7 +45,7 @@ from .diagnostics import (
     write_theta_csv,
 )
 from .hamiltonian import Grid1D, HamiltonianSpec, build_hamiltonian, load_matrix
-from .linalg import entrywise_l1, write_matrix
+from .linalg import entrywise_l1, write_csv, write_matrix
 from .solver import (
     SaddlePoint,
     SolverParams,
@@ -232,6 +232,17 @@ def load_config(path: str | Path, out_override: str | None = None) -> RunConfig:
                      saddle_paths=SaddlePoint(**saddle) if saddle else None, **run)
 
 
+def _hamiltonian(cfg: RunConfig) -> np.ndarray:
+    """Build H and check n_occ against its dimension, before any output is made."""
+    H = build_hamiltonian(cfg.ham, cfg.grid)
+    n_occ = cfg.runs[0].n_occ
+    if n_occ > H.shape[0]:
+        raise ConfigError(
+            f"{_key(SolverParams, 'n_occ')} = {n_occ} exceeds the dimension {H.shape[0]}"
+        )
+    return H
+
+
 def _require_out(cfg: RunConfig) -> Path:
     if cfg.out_dir is None:
         raise ConfigError(f"{_key(RunConfig, 'out_dir')} is required (or pass --out)")
@@ -241,16 +252,11 @@ def _require_out(cfg: RunConfig) -> Path:
 
 def _write_summary(path: Path, result: SolverResult, n_occ: float) -> None:
     last = result.history[-1]
-    rep = feasibility(result.P, n_occ)
-    header = ("converged,iterations,objective,residual_Q,residual_R,delta_P,"
-              "asymmetry,trace_error,eig_below,eig_above")
-    row = (
-        f"{'true' if result.converged else 'false'},{result.iterations},"
-        f"{last.objective:.16e},{last.residual_q:.16e},{last.residual_r:.16e},"
-        f"{last.delta_p:.16e},{rep.asymmetry:.16e},{rep.trace_error:.16e},"
-        f"{rep.eig_below:.16e},{rep.eig_above:.16e}"
-    )
-    path.write_text(header + "\n" + row + "\n")
+    header = ("converged", "iterations", "objective", "residual_Q", "residual_R", "delta_P",
+              "asymmetry", "trace_error", "eig_below", "eig_above")
+    row = ("true" if result.converged else "false", result.iterations, last.objective,
+           last.residual_q, last.residual_r, last.delta_p, *feasibility(result.P, n_occ))
+    write_csv(path, header, [row])
 
 
 def _run_one(cfg: RunConfig, H: np.ndarray, params: SolverParams, out: Path) -> SolverResult:
@@ -272,8 +278,8 @@ def cmd_solve(cfg: RunConfig) -> int:
         raise ConfigError(
             f"{_key(SolverParams, 'mu')}: solve takes a single value, got {len(cfg.runs)}"
         )
+    H = _hamiltonian(cfg)
     out = _require_out(cfg)
-    H = build_hamiltonian(cfg.ham, cfg.grid)
     result = _run_one(cfg, H, cfg.runs[0], out)
     return 0 if result.converged else 2
 
@@ -343,8 +349,8 @@ def _sweep_workers(n_runs: int) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
+    H = _hamiltonian(cfg)
     out = _require_out(cfg)
-    H = build_hamiltonian(cfg.ham, cfg.grid)
     workers = _sweep_workers(len(cfg.runs))
 
     def run(params: SolverParams):
@@ -377,19 +383,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_exact(cfg: RunConfig) -> int:
+    H = _hamiltonian(cfg)
     out = _require_out(cfg)
-    H = build_hamiltonian(cfg.ham, cfg.grid)
-    n_occ = cfg.runs[0].n_occ
-    if n_occ > H.shape[0]:
-        raise ConfigError(
-            f"{_key(SolverParams, 'n_occ')} = {n_occ} exceeds the dimension {H.shape[0]}"
-        )
-    P = exact_density_matrix(H, n_occ)
-    write_matrix(out / "P_exact.mat", P)
-    w = np.linalg.eigvalsh(H)
-    lines = ["index,eigenvalue"]
-    lines += [f"{i},{x:.16e}" for i, x in enumerate(w, start=1)]
-    (out / "spectrum.csv").write_text("\n".join(lines) + "\n")
+    write_matrix(out / "P_exact.mat", exact_density_matrix(H, cfg.runs[0].n_occ))
+    write_csv(out / "spectrum.csv", ("index", "eigenvalue"),
+              enumerate(np.linalg.eigvalsh(H), start=1))
     return 0
 
 
@@ -402,9 +400,8 @@ def _extract_saddle_csv(history_path: Path, dest: Path) -> None:
                 f"{history_path} has no saddle_distance column; "
                 "run solve with the saddle.* reference paths in the config"
             )
-        lines = ["iter,saddle_distance"]
-        lines += [f"{row['iter']},{row['saddle_distance']}" for row in reader]
-    dest.write_text("\n".join(lines) + "\n")
+        rows = [(row["iter"], row["saddle_distance"]) for row in reader]
+    write_csv(dest, ("iter", "saddle_distance"), rows)
 
 
 def cmd_diagnose(cfg: RunConfig) -> int:
@@ -415,15 +412,15 @@ def cmd_diagnose(cfg: RunConfig) -> int:
         print(f"error: no solution found: {p_path} is missing", file=sys.stderr)
         return 1
     P = load_matrix(p_path)
-    out = cfg.out_dir if cfg.out_dir is not None else cfg.run_dir
-    out.mkdir(parents=True, exist_ok=True)
-    H = build_hamiltonian(cfg.ham, cfg.grid)
+    H = _hamiltonian(cfg)
     n = H.shape[0]
     if P.shape[0] != n:
         raise ConfigError(
             f"{_key(RunConfig, 'run_dir')}: {p_path} has dimension {P.shape[0]} "
             f"but the Hamiltonian has {n}"
         )
+    out = cfg.out_dir if cfg.out_dir is not None else cfg.run_dir
+    out.mkdir(parents=True, exist_ok=True)
 
     spectrum = occupation_numbers(P)
     write_occupation_csv(out / "occupation.csv", spectrum.values)
@@ -436,11 +433,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
 
     k = cfg.ritz_k if cfg.ritz_k is not None else cfg.runs[0].n_occ
     ritz, exact = ritz_compare(P, H, k)
-    lines = ["index,eig_PH,eig_H"]
-    lines += [
-        f"{i},{a:.16e},{b:.16e}" for i, (a, b) in enumerate(zip(ritz, exact), start=1)
-    ]
-    (out / "ritz.csv").write_text("\n".join(lines) + "\n")
+    write_csv(out / "ritz.csv", ("index", "eig_PH", "eig_H"), zip(range(1, k + 1), ritz, exact))
 
     if cfg.saddle_paths is not None:
         _extract_saddle_csv(cfg.run_dir / "history.csv", out / "saddle.csv")

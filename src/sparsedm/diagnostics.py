@@ -3,7 +3,9 @@ subspace approximation errors, occupation spectra, band occupations,
 filtered partial sums, delta-function projections, and a Ritz-value
 comparison against the host operator.
 
-All functions are pure; CSV writers at the bottom serialize the reports.
+All measurements are pure functions. The write_*_csv functions at the
+bottom fix the columns of the CSV reports and encode them with
+``linalg.write_csv``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import symmetrize, sym_eig, trace_product
+from .linalg import symmetrize, sym_eig, trace_product, write_csv
 
 __all__ = [
     "DegenerateGapWarning",
@@ -55,7 +57,9 @@ class OccupationSpectrum(NamedTuple):
     basis: np.ndarray
 
 
-def _warn_if_degenerate(w: np.ndarray, n_occ: int) -> None:
+def _lowest_eigenvectors(H: np.ndarray, n_occ: int) -> np.ndarray:
+    """Columns v[:, :n_occ] of sym_eig(H); warns at the public caller on a degenerate gap."""
+    w, v = sym_eig(H)
     if n_occ < w.size and w[n_occ] - w[n_occ - 1] <= DEGENERACY_GAP:
         warnings.warn(
             f"eigenvalues {n_occ} and {n_occ + 1} coincide within {DEGENERACY_GAP:g}; "
@@ -63,6 +67,7 @@ def _warn_if_degenerate(w: np.ndarray, n_occ: int) -> None:
             DegenerateGapWarning,
             stacklevel=3,
         )
+    return v[:, :n_occ]
 
 
 def exact_density_matrix(H: np.ndarray, n_occ: int) -> np.ndarray:
@@ -75,9 +80,7 @@ def exact_density_matrix(H: np.ndarray, n_occ: int) -> np.ndarray:
     n = H.shape[0]
     if not 1 <= n_occ <= n:
         raise ValueError(f"n_occ must be in 1..{n}, got {n_occ}")
-    w, v = sym_eig(H)
-    _warn_if_degenerate(w, n_occ)
-    low = v[:, :n_occ]
+    low = _lowest_eigenvectors(H, n_occ)
     return symmetrize(low @ low.T)
 
 
@@ -93,9 +96,7 @@ def space_approximation(P: np.ndarray, H: np.ndarray, n_occ: int) -> float:
     Zero exactly when the span of those eigenvectors is invariant and
     fully occupied under P. Degenerate gaps warn as in exact_density_matrix.
     """
-    w, v = sym_eig(H)
-    _warn_if_degenerate(w, n_occ)
-    low = v[:, :n_occ]
+    low = _lowest_eigenvectors(H, n_occ)
     return float(np.sum((low - P @ low) ** 2))
 
 
@@ -166,39 +167,26 @@ def sparsity_fraction(P: np.ndarray) -> float:
     return float(np.mean(mags < SPARSITY_RELATIVE_CUTOFF * mags.max()))
 
 
-# --- CSV emitters ---------------------------------------------------------
+# --- CSV reports: each writer fixes one file's columns ---------------------
 
 
 def write_occupation_csv(path, values: np.ndarray) -> None:
     """Occupation spectrum as `index,f`, index 1-based in the given order."""
-    lines = ["index,f"]
-    lines += [f"{i},{f:.16e}" for i, f in enumerate(values, start=1)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ("index", "f"), enumerate(np.asarray(values, dtype=float), start=1))
 
 
 def write_theta_csv(path, thetas: np.ndarray) -> None:
     """Band occupations as `index,theta`, index 1-based, ascending-H order."""
-    lines = ["index,theta"]
-    lines += [f"{i},{t:.16e}" for i, t in enumerate(thetas, start=1)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ("index", "theta"), enumerate(np.asarray(thetas, dtype=float), start=1))
 
 
 def write_delta_csv(path, xs: np.ndarray, column: np.ndarray) -> None:
     """One projected delta function as `x,value` over the grid coordinates."""
-    lines = ["x,value"]
-    lines += [f"{x:.16e},{val:.16e}" for x, val in zip(xs, column)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ("x", "value"),
+              zip(np.asarray(xs, dtype=float), np.asarray(column, dtype=float)))
 
 
 def write_sweep_csv(path, rows: list[tuple[float, float, float, float, float, float]]) -> None:
     """Sweep summary: mu,trHP,exact_energy,l1,space_approx,sparsity per run."""
-    lines = ["mu,trHP,exact_energy,l1,space_approx,sparsity"]
-    for mu, trhp, exact, l1, space, sparsity in rows:
-        lines.append(
-            f"{mu:.16e},{trhp:.16e},{exact:.16e},{l1:.16e},{space:.16e},{sparsity:.16e}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ("mu", "trHP", "exact_energy", "l1", "space_approx", "sparsity"),
+              (map(float, row) for row in rows))

@@ -70,7 +70,7 @@ class HamiltonianSpec:
         if self.kind not in self.KINDS:
             raise ValueError(f"kind must be one of {', '.join(self.KINDS)}; got {self.kind!r}")
         if self.kind == "kronig_penney":
-            if self.well_depth < 0:
+            if not self.well_depth >= 0:
                 raise ValueError(f"well_depth must be nonnegative, got {self.well_depth}")
             if not self.well_width > 0:
                 raise ValueError(f"well_width must be positive, got {self.well_width}")
@@ -113,8 +113,8 @@ def sample_kp_potential(grid: Grid1D, spec: HamiltonianSpec) -> np.ndarray:
     length = grid.length
     if spec.centers is not None:
         centers = np.asarray(spec.centers, dtype=float)
-        if np.any(centers < 0) or np.any(centers >= length):
-            raise ValueError(f"well centers must lie in [0, {length})")
+        if not np.all((centers >= 0) & (centers < length)):
+            raise ValueError(f"centers must lie in [0, {length}), got {spec.centers}")
     else:
         centers = default_well_centers(length, spec.n_wells)
     x = grid.points()

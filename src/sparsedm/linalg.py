@@ -1,4 +1,5 @@
-"""Dense symmetric-matrix kernels and the shared matrix text format.
+"""Dense symmetric-matrix kernels and the shared text formats: matrices
+and CSV reports.
 
 Matrices are plain float64 numpy arrays of shape (n, n). The kernels
 preserve the exact symmetry of symmetric input: entrywise and diagonal
@@ -10,7 +11,7 @@ rely on ``A[i, j] == A[j, i]`` exactly for outputs of symmetric input.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "symmetrize",
     "trace_product",
     "trace_shift_project",
+    "write_csv",
     "write_matrix",
 ]
 
@@ -159,6 +161,21 @@ def write_matrix(path, a: np.ndarray) -> None:
     """Write a matrix in the shared text format at full float64 precision."""
     with open(path, "w") as fh:
         fh.write(format_matrix(a))
+
+
+def write_csv(path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Write a CSV report: the header line, then one comma-joined line per row.
+
+    Float cells (numpy floats included) are written as ``.16e``, which
+    round-trips float64; every other cell is written as ``str``.
+    """
+    lines = [",".join(header)]
+    lines += [
+        ",".join(f"{c:.16e}" if isinstance(c, (float, np.floating)) else str(c) for c in row)
+        for row in rows
+    ]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_matrix(path) -> np.ndarray:

@@ -34,6 +34,7 @@ from .linalg import (
     symmetrize,
     trace_product,
     trace_shift_project,
+    write_csv,
 )
 
 __all__ = [
@@ -297,17 +298,9 @@ def solve(
 def write_history_csv(path, history: list[IterationRecord]) -> None:
     """history.csv: iter,objective,residual_Q,residual_R,delta_P[,saddle_distance]."""
     with_saddle = any(rec.saddle_distance is not None for rec in history)
-    header = "iter,objective,residual_Q,residual_R,delta_P"
-    if with_saddle:
-        header += ",saddle_distance"
-    lines = [header]
-    for rec in history:
-        row = (
-            f"{rec.iteration},{rec.objective:.16e},{rec.residual_q:.16e},"
-            f"{rec.residual_r:.16e},{rec.delta_p:.16e}"
-        )
-        if with_saddle:
-            row += f",{rec.saddle_distance:.16e}"
-        lines.append(row)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ("iter", "objective", "residual_Q", "residual_R", "delta_P")
+    write_csv(path, header + ("saddle_distance",) * with_saddle, (
+        (rec.iteration, rec.objective, rec.residual_q, rec.residual_r, rec.delta_p)
+        + (rec.saddle_distance,) * with_saddle
+        for rec in history
+    ))

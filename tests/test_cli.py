@@ -119,6 +119,8 @@ KP_CFG = (
     ("solver.n_occ", "0"),
     ("hamiltonian.kind", "bogus"),
     ("hamiltonian.v0", "-1"),
+    ("hamiltonian.v0", "nan"),
+    ("hamiltonian.delta", "nan"),
     ("hamiltonian.delta", "0"),
     ("hamiltonian.n_wells", "0"),
     ("grid.n", "2"),
@@ -258,6 +260,27 @@ def test_sweep_marks_unconverged_run_but_completes(tmp_path):
     assert main(["sweep", "--config", cfg]) == 2
     rows = (out / "sweep.csv").read_text().splitlines()
     assert len(rows) == 3  # header + both runs still measured
+
+
+BAD_H_CASES = {
+    # config lines -> the key or field the error must name
+    "v0_nan": (KP_CFG + "hamiltonian.v0 = nan\n", "hamiltonian.v0"),
+    "centers_nan": (KP_CFG + "hamiltonian.centers = 5, nan\n", "centers"),
+    "n_occ_above_dim": ("hamiltonian.kind = from_file\nhamiltonian.path = {H}\n"
+                        "solver.mu = 1\nsolver.n_occ = 4\n", "solver.n_occ"),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "exact"])
+@pytest.mark.parametrize("case", sorted(BAD_H_CASES))
+def test_bad_hamiltonian_input_fails_before_any_output(ex2_files, capsys, command, case):
+    text, named = BAD_H_CASES[case]
+    out = ex2_files / "out"
+    cfg = write_cfg(ex2_files / "c.cfg",
+                    text.format(H=ex2_files / "H.mat") + f"output.dir = {out}\n")
+    assert main([command, "--config", cfg]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_rejects_bad_thread_env(tmp_path, monkeypatch, capsys):
@@ -419,3 +442,39 @@ def test_diagnose_without_recorded_saddle_errors(ex2_files, capsys):
     )
     assert main(["diagnose", "--config", diag_cfg]) == 1
     assert "saddle" in capsys.readouterr().err
+
+
+SUMMARY_HEADER = ("converged,iterations,objective,residual_Q,residual_R,delta_P,"
+                  "asymmetry,trace_error,eig_below,eig_above")
+CSV_HEADERS = {
+    "run/history.csv": "iter,objective,residual_Q,residual_R,delta_P,saddle_distance",
+    "run/summary.csv": SUMMARY_HEADER,
+    "diag/occupation.csv": "index,f",
+    "diag/theta.csv": "index,theta",
+    "diag/delta_site_0.csv": "x,value",
+    "diag/delta_site_2.csv": "x,value",
+    "diag/ritz.csv": "index,eig_PH,eig_H",
+    "diag/saddle.csv": "iter,saddle_distance",
+    "exact/spectrum.csv": "index,eigenvalue",
+    "sweep/sweep.csv": "mu,trHP,exact_energy,l1,space_approx,sparsity",
+    "sweep/mu_10/history.csv": "iter,objective,residual_Q,residual_R,delta_P",
+    "sweep/mu_10/summary.csv": SUMMARY_HEADER,
+    "sweep/mu_40/history.csv": "iter,objective,residual_Q,residual_R,delta_P",
+    "sweep/mu_40/summary.csv": SUMMARY_HEADER,
+}
+
+
+def test_every_csv_written_has_its_header(ex2_files):
+    root = ex2_files / "out"
+    run = root / "run"
+    configs = {
+        "solve": solve_cfg_text(ex2_files, run, with_saddle=True, extra="solver.record_every = 3\n"),
+        "diagnose": diag_cfg_text(ex2_files, run, with_saddle=True) + f"output.dir = {root / 'diag'}\n",
+        "exact": solve_cfg_text(ex2_files, root / "exact"),
+        "sweep": sweep_cfg_text(root / "sweep"),
+    }
+    for command, text in configs.items():
+        assert main([command, "--config", write_cfg(ex2_files / f"{command}.cfg", text)]) == 0
+    written = {path.relative_to(root).as_posix(): path.read_text().splitlines()[0]
+               for path in root.rglob("*.csv")}
+    assert written == CSV_HEADERS

@@ -59,6 +59,16 @@ def test_exact_density_matrix_warns_on_degenerate_gap():
         exact_density_matrix(np.diag([1.0, 1.0, 2.0]), 1)
 
 
+@pytest.mark.parametrize("measure", [
+    lambda h: exact_density_matrix(h, 1),
+    lambda h: space_approximation(np.eye(3) / 3, h, 1),
+])
+def test_degenerate_gap_warning_points_at_the_caller(measure):
+    with pytest.warns(DegenerateGapWarning) as record:
+        measure(np.diag([1.0, 1.0, 2.0]))
+    assert [w.filename for w in record] == [__file__]
+
+
 @pytest.mark.parametrize("n_occ", [0, 4])
 def test_exact_density_matrix_rejects_bad_count(n_occ):
     with pytest.raises(ValueError):

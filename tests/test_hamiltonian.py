@@ -86,6 +86,8 @@ def test_kp_rejects_centers_outside_domain():
     grid = Grid1D(length=20.0, n=16)
     with pytest.raises(ValueError, match="centers"):
         sample_kp_potential(grid, HamiltonianSpec("kronig_penney", centers=(20.0,)))
+    with pytest.raises(ValueError, match="centers"):
+        sample_kp_potential(grid, HamiltonianSpec("kronig_penney", centers=(5.0, float("nan"))))
 
 
 def test_kp_explicit_centers_override_count():
@@ -103,6 +105,8 @@ def test_kp_explicit_centers_override_count():
         dict(kind="kronig_penney", well_width=0.0),
         dict(kind="kronig_penney", n_wells=0),
         dict(kind="from_file"),
+        dict(kind="kronig_penney", well_depth=float("nan")),
+        dict(kind="kronig_penney", well_width=float("nan")),
     ],
 )
 def test_spec_validation(kwargs):

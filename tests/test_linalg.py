@@ -15,6 +15,7 @@ from sparsedm.linalg import (
     symmetrize,
     trace_product,
     trace_shift_project,
+    write_csv,
     write_matrix,
 )
 
@@ -66,6 +67,22 @@ def test_matrix_file_layout(tmp_path):
     assert lines[0] == "2"
     assert len(lines) == 3
     assert [float(v) for v in lines[1].split()] == [1.0, 0.5]
+
+
+def test_write_csv_exact_bytes(tmp_path):
+    path = tmp_path / "r.csv"
+    rows = [
+        (1, 0.1, np.float64(-2.5), "7"),
+        (np.int64(2), np.float32(0.5), float("inf"), "x"),
+    ]
+    write_csv(path, ("index", "a", "b", "s"), rows)
+    assert path.read_bytes() == (
+        b"index,a,b,s\n"
+        b"1,1.0000000000000001e-01,-2.5000000000000000e+00,7\n"
+        b"2,5.0000000000000000e-01,inf,x\n"
+    )
+    write_csv(path, ("mu", "l1"), [])
+    assert path.read_bytes() == b"mu,l1\n"
 
 
 @pytest.mark.parametrize(

@@ -45,11 +45,12 @@ from .diagnostics import (
     write_theta_csv,
 )
 from .hamiltonian import Grid1D, HamiltonianSpec, build_hamiltonian, load_matrix
-from .linalg import entrywise_l1, write_csv, write_matrix
+from .linalg import entrywise_l1, sym_eig, write_csv, write_matrix
 from .solver import (
     SaddlePoint,
     SolverParams,
     SolverResult,
+    check_initial,
     feasibility,
     solve,
     write_history_csv,
@@ -243,6 +244,37 @@ def _hamiltonian(cfg: RunConfig) -> np.ndarray:
     return H
 
 
+def _load_square(key: str, path: Path, n: int) -> np.ndarray:
+    """load_matrix(path), which must be n x n; errors name the config key."""
+    try:
+        a = load_matrix(path)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+    if a.shape[0] != n:
+        raise ConfigError(f"{key}: {path} has dimension {a.shape[0]} but the Hamiltonian has {n}")
+    return a
+
+
+def _start_inputs(cfg: RunConfig, H: np.ndarray) -> tuple[np.ndarray | None, SaddlePoint | None]:
+    """The initial matrix and the saddle reference, loaded and checked once
+    per command, before any output is made."""
+    n = H.shape[0]
+    initial = saddle = None
+    if cfg.initial_path is not None:
+        key = _key(RunConfig, "initial_path")
+        initial = _load_square(key, cfg.initial_path, n)
+        try:
+            check_initial(initial, n, cfg.runs[0].n_occ)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+    if cfg.saddle_paths is not None:
+        saddle = SaddlePoint(*(
+            _load_square(_key(SaddlePoint, field), path, n)
+            for field, path in zip(SaddlePoint._fields, cfg.saddle_paths)
+        ))
+    return initial, saddle
+
+
 def _require_out(cfg: RunConfig) -> Path:
     if cfg.out_dir is None:
         raise ConfigError(f"{_key(RunConfig, 'out_dir')} is required (or pass --out)")
@@ -259,10 +291,9 @@ def _write_summary(path: Path, result: SolverResult, n_occ: float) -> None:
     write_csv(path, header, [row])
 
 
-def _run_one(cfg: RunConfig, H: np.ndarray, params: SolverParams, out: Path) -> SolverResult:
+def _run_one(H: np.ndarray, params: SolverParams, out: Path,
+             initial: np.ndarray | None, saddle: SaddlePoint | None) -> SolverResult:
     """Solve one run and write the standard run artifacts into out."""
-    initial = None if cfg.initial_path is None else load_matrix(cfg.initial_path)
-    saddle = None if cfg.saddle_paths is None else SaddlePoint(*map(load_matrix, cfg.saddle_paths))
     result = solve(H, params, initial=initial, saddle_ref=saddle)
     out.mkdir(parents=True, exist_ok=True)
     write_matrix(out / "P.mat", result.P)
@@ -279,8 +310,9 @@ def cmd_solve(cfg: RunConfig) -> int:
             f"{_key(SolverParams, 'mu')}: solve takes a single value, got {len(cfg.runs)}"
         )
     H = _hamiltonian(cfg)
+    initial, saddle = _start_inputs(cfg, H)
     out = _require_out(cfg)
-    result = _run_one(cfg, H, cfg.runs[0], out)
+    result = _run_one(H, cfg.runs[0], out, initial, saddle)
     return 0 if result.converged else 2
 
 
@@ -350,11 +382,13 @@ def _sweep_workers(n_runs: int) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     H = _hamiltonian(cfg)
+    initial, saddle = _start_inputs(cfg, H)
     out = _require_out(cfg)
     workers = _sweep_workers(len(cfg.runs))
+    h_eig = sym_eig(H)
 
     def run(params: SolverParams):
-        return _run_one(cfg, H, params, out / _run_dir_name(params.mu))
+        return _run_one(H, params, out / _run_dir_name(params.mu), initial, saddle)
 
     status = 0
     rows = []
@@ -372,10 +406,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 continue
             if not result.converged:
                 status = 2
-            trhp, exact = energy_gap_metrics(result.P, H, params.n_occ)
+            trhp, exact = energy_gap_metrics(result.P, H, params.n_occ, h_eig=h_eig)
             rows.append((
                 params.mu, trhp, exact, entrywise_l1(result.P),
-                space_approximation(result.P, H, params.n_occ),
+                space_approximation(result.P, H, params.n_occ, h_eig=h_eig),
                 sparsity_fraction(result.P),
             ))
     write_sweep_csv(out / "sweep.csv", rows)
@@ -384,10 +418,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_exact(cfg: RunConfig) -> int:
     H = _hamiltonian(cfg)
+    h_eig = sym_eig(H)
     out = _require_out(cfg)
-    write_matrix(out / "P_exact.mat", exact_density_matrix(H, cfg.runs[0].n_occ))
+    write_matrix(out / "P_exact.mat", exact_density_matrix(H, cfg.runs[0].n_occ, h_eig=h_eig))
     write_csv(out / "spectrum.csv", ("index", "eigenvalue"),
-              enumerate(np.linalg.eigvalsh(H), start=1))
+              enumerate(h_eig.eigenvalues, start=1))
     return 0
 
 
@@ -411,20 +446,15 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     if not p_path.is_file():
         print(f"error: no solution found: {p_path} is missing", file=sys.stderr)
         return 1
-    P = load_matrix(p_path)
     H = _hamiltonian(cfg)
     n = H.shape[0]
-    if P.shape[0] != n:
-        raise ConfigError(
-            f"{_key(RunConfig, 'run_dir')}: {p_path} has dimension {P.shape[0]} "
-            f"but the Hamiltonian has {n}"
-        )
+    P = _load_square(_key(RunConfig, "run_dir"), p_path, n)
     out = cfg.out_dir if cfg.out_dir is not None else cfg.run_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    spectrum = occupation_numbers(P)
-    write_occupation_csv(out / "occupation.csv", spectrum.values)
-    write_theta_csv(out / "theta.csv", band_occupations(P, H))
+    h_eig, p_eig = sym_eig(H), sym_eig(P)
+    write_occupation_csv(out / "occupation.csv", occupation_numbers(P, p_eig=p_eig).values)
+    write_theta_csv(out / "theta.csv", band_occupations(P, H, h_eig=h_eig))
 
     sites = cfg.sites if cfg.sites is not None else (n // 2,)
     xs = cfg.grid.points() if cfg.grid is not None else np.arange(n, dtype=float)
@@ -432,7 +462,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
         write_delta_csv(out / f"delta_site_{site}.csv", xs, column)
 
     k = cfg.ritz_k if cfg.ritz_k is not None else cfg.runs[0].n_occ
-    ritz, exact = ritz_compare(P, H, k)
+    ritz, exact = ritz_compare(P, H, k, p_eig=p_eig, h_eig=h_eig)
     write_csv(out / "ritz.csv", ("index", "eig_PH", "eig_H"), zip(range(1, k + 1), ritz, exact))
 
     if cfg.saddle_paths is not None:

@@ -3,9 +3,11 @@ subspace approximation errors, occupation spectra, band occupations,
 filtered partial sums, delta-function projections, and a Ritz-value
 comparison against the host operator.
 
-All measurements are pure functions. The write_*_csv functions at the
-bottom fix the columns of the CSV reports and encode them with
-``linalg.write_csv``.
+All measurements are pure functions. Those that need the spectrum of H
+(or of P) take it as an optional keyword argument, ``h_eig`` (``p_eig``),
+so a caller that measures one matrix several times decomposes it once;
+when omitted it is computed. The write_*_csv functions at the bottom fix
+the columns of the CSV reports and encode them with ``linalg.write_csv``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import symmetrize, sym_eig, trace_product, write_csv
+from .linalg import SpectralDecomposition, symmetrize, sym_eig, trace_product, write_csv
 
 __all__ = [
     "DegenerateGapWarning",
@@ -57,9 +59,16 @@ class OccupationSpectrum(NamedTuple):
     basis: np.ndarray
 
 
-def _lowest_eigenvectors(H: np.ndarray, n_occ: int) -> np.ndarray:
-    """Columns v[:, :n_occ] of sym_eig(H); warns at the public caller on a degenerate gap."""
-    w, v = sym_eig(H)
+def _eig(a: np.ndarray, eig: SpectralDecomposition | None) -> SpectralDecomposition:
+    """The given spectrum of a, else sym_eig(a)."""
+    return sym_eig(a) if eig is None else eig
+
+
+def _lowest_eigenvectors(
+    H: np.ndarray, n_occ: int, h_eig: SpectralDecomposition | None
+) -> np.ndarray:
+    """Columns v[:, :n_occ] of the spectrum of H; warns at the public caller on a degenerate gap."""
+    w, v = _eig(H, h_eig)
     if n_occ < w.size and w[n_occ] - w[n_occ - 1] <= DEGENERACY_GAP:
         warnings.warn(
             f"eigenvalues {n_occ} and {n_occ + 1} coincide within {DEGENERACY_GAP:g}; "
@@ -70,7 +79,9 @@ def _lowest_eigenvectors(H: np.ndarray, n_occ: int) -> np.ndarray:
     return v[:, :n_occ]
 
 
-def exact_density_matrix(H: np.ndarray, n_occ: int) -> np.ndarray:
+def exact_density_matrix(
+    H: np.ndarray, n_occ: int, *, h_eig: SpectralDecomposition | None = None
+) -> np.ndarray:
     """Orthogonal projector onto the span of the n_occ lowest eigenvectors of H.
 
     Warns (DegenerateGapWarning) when the gap at the n_occ-th eigenvalue
@@ -80,29 +91,35 @@ def exact_density_matrix(H: np.ndarray, n_occ: int) -> np.ndarray:
     n = H.shape[0]
     if not 1 <= n_occ <= n:
         raise ValueError(f"n_occ must be in 1..{n}, got {n_occ}")
-    low = _lowest_eigenvectors(H, n_occ)
+    low = _lowest_eigenvectors(H, n_occ, h_eig)
     return symmetrize(low @ low.T)
 
 
-def energy_gap_metrics(P: np.ndarray, H: np.ndarray, n_occ: int) -> tuple[float, float]:
+def energy_gap_metrics(
+    P: np.ndarray, H: np.ndarray, n_occ: int, *, h_eig: SpectralDecomposition | None = None
+) -> tuple[float, float]:
     """(tr(H P), sum of the n_occ lowest eigenvalues of H)."""
-    w, _ = sym_eig(H)
+    w, _ = _eig(H, h_eig)
     return trace_product(H, P), float(np.sum(w[:n_occ]))
 
 
-def space_approximation(P: np.ndarray, H: np.ndarray, n_occ: int) -> float:
+def space_approximation(
+    P: np.ndarray, H: np.ndarray, n_occ: int, *, h_eig: SpectralDecomposition | None = None
+) -> float:
     """Sum over the n_occ lowest eigenvectors phi of H of ||phi - P phi||^2.
 
     Zero exactly when the span of those eigenvectors is invariant and
     fully occupied under P. Degenerate gaps warn as in exact_density_matrix.
     """
-    low = _lowest_eigenvectors(H, n_occ)
+    low = _lowest_eigenvectors(H, n_occ, h_eig)
     return float(np.sum((low - P @ low) ** 2))
 
 
-def occupation_numbers(P: np.ndarray) -> OccupationSpectrum:
+def occupation_numbers(
+    P: np.ndarray, *, p_eig: SpectralDecomposition | None = None
+) -> OccupationSpectrum:
     """Eigen-decomposition of P sorted by descending occupation."""
-    w, v = sym_eig(P)
+    w, v = _eig(P, p_eig)
     return OccupationSpectrum(values=w[::-1].copy(), basis=v[:, ::-1].copy())
 
 
@@ -130,7 +147,14 @@ def delta_projections(P: np.ndarray, sites: list[int]) -> list[np.ndarray]:
     return [P[:, site].copy() for site in sites]
 
 
-def ritz_compare(P: np.ndarray, H: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def ritz_compare(
+    P: np.ndarray,
+    H: np.ndarray,
+    k: int,
+    *,
+    p_eig: SpectralDecomposition | None = None,
+    h_eig: SpectralDecomposition | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """k Ritz values of H seen through P, next to the k lowest eigenvalues of H.
 
     Eigenvalues of the symmetric surrogate sqrt(P) H sqrt(P) (equal to the
@@ -143,22 +167,24 @@ def ritz_compare(P: np.ndarray, H: np.ndarray, k: int) -> tuple[np.ndarray, np.n
     n = H.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    f, v = sym_eig(P)
+    f, v = _eig(P, p_eig)
     root = symmetrize((v * np.sqrt(np.clip(f, 0.0, None))) @ v.T)
     s, u = sym_eig(symmetrize(root @ H @ root))
-    weight = np.einsum("ij,jk,ki->i", u.T, P, u)
+    weight = np.einsum("ij,ij->j", u, P @ u)  # u_i' P u_i
     keep = np.argsort(-weight, kind="stable")[:k]
-    w_h, _ = sym_eig(H)
+    w_h, _ = _eig(H, h_eig)
     return np.sort(s[keep]), w_h[:k].copy()
 
 
-def band_occupations(P: np.ndarray, H: np.ndarray) -> np.ndarray:
+def band_occupations(
+    P: np.ndarray, H: np.ndarray, *, h_eig: SpectralDecomposition | None = None
+) -> np.ndarray:
     """theta_i = v_i' P v_i over the ascending eigenvectors v_i of H.
 
     Values lie in [0, 1] for feasible P and sum to tr P.
     """
-    _, v = sym_eig(H)
-    return np.einsum("ij,jk,ki->i", v.T, P, v)
+    _, v = _eig(H, h_eig)
+    return np.einsum("ij,ij->j", v, P @ v)
 
 
 def sparsity_fraction(P: np.ndarray) -> float:

@@ -1,5 +1,7 @@
 """Dense symmetric-matrix kernels and the shared text formats: matrices
-and CSV reports.
+and CSV reports. The matrix text I/O streams row by row: ``write_matrix``
+formats and writes one row at a time, and ``read_matrix`` parses each
+line straight into the result array.
 
 Matrices are plain float64 numpy arrays of shape (n, n). The kernels
 preserve the exact symmetry of symmetric input: entrywise and diagonal
@@ -148,19 +150,15 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b.T))
 
 
-def format_matrix(a: np.ndarray) -> str:
-    """Render a matrix in the text format: header n, then n rows."""
-    n = a.shape[0]
-    lines = [str(n)]
-    for row in a:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def write_matrix(path, a: np.ndarray) -> None:
-    """Write a matrix in the shared text format at full float64 precision."""
+    """Write a matrix in the text format: header n, then n rows of ``.17g``
+    entries, which round-trip float64. Rows are formatted and written one
+    at a time."""
+    row_fmt = " ".join(["%.17g"] * a.shape[1]) + "\n"
     with open(path, "w") as fh:
-        fh.write(format_matrix(a))
+        fh.write(f"{a.shape[0]}\n")
+        for row in a:
+            fh.write(row_fmt % tuple(row.tolist()))
 
 
 def write_csv(path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
@@ -181,34 +179,46 @@ def write_csv(path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
 def read_matrix(path) -> np.ndarray:
     """Parse the matrix text format; raises MatrixFormatError on bad shape.
 
-    The result is returned as-is (not symmetrized); callers that require
-    symmetry should pass it through ``require_symmetric``.
+    Blank lines are skipped. Each row is parsed straight into the result,
+    so the text is never held whole. A wrong row count is reported in
+    preference to a malformed row. The result is returned as-is (not
+    symmetrized); callers that require symmetry should pass it through
+    ``require_symmetric``.
     """
     with open(path) as fh:
-        raw = fh.read()
-    lines = [ln for ln in raw.splitlines() if ln.strip()]
-    if not lines:
-        raise MatrixFormatError(f"{path}: empty matrix file")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise MatrixFormatError(f"{path}: header {lines[0]!r} is not an integer") from None
-    if n <= 0:
-        raise MatrixFormatError(f"{path}: dimension must be positive, got {n}")
-    if len(lines) - 1 != n:
-        raise MatrixFormatError(f"{path}: expected {n} rows, found {len(lines) - 1}")
-    rows = []
-    for i, line in enumerate(lines[1:], start=1):
-        fields = line.split()
-        if len(fields) != n:
-            raise MatrixFormatError(
-                f"{path}: row {i} has {len(fields)} entries, expected {n}"
-            )
+        lines = (ln for raw in fh for ln in raw.splitlines() if ln.strip())
+        header = next(lines, None)
+        if header is None:
+            raise MatrixFormatError(f"{path}: empty matrix file")
         try:
-            rows.append([float(f) for f in fields])
+            n = int(header)
         except ValueError:
-            raise MatrixFormatError(f"{path}: row {i} contains a non-numeric entry") from None
-    a = np.array(rows, dtype=float)
+            raise MatrixFormatError(f"{path}: header {header!r} is not an integer") from None
+        if n <= 0:
+            raise MatrixFormatError(f"{path}: dimension must be positive, got {n}")
+        # Allocated at the first well-formed row, so a header far larger
+        # than the file allocates nothing.
+        a = None
+        found, bad_row = 0, None
+        for found, line in enumerate(lines, start=1):
+            if found > n or bad_row is not None:
+                continue
+            fields = line.split()
+            if len(fields) != n:
+                bad_row = f"row {found} has {len(fields)} entries, expected {n}"
+                continue
+            try:
+                row = [float(f) for f in fields]
+            except ValueError:
+                bad_row = f"row {found} contains a non-numeric entry"
+                continue
+            if a is None:
+                a = np.empty((n, n))
+            a[found - 1] = row
+    if found != n:
+        raise MatrixFormatError(f"{path}: expected {n} rows, found {found}")
+    if bad_row is not None:
+        raise MatrixFormatError(f"{path}: {bad_row}")
     if not np.all(np.isfinite(a)):
         raise MatrixFormatError(f"{path}: matrix contains non-finite entries")
     return a

@@ -44,6 +44,7 @@ __all__ = [
     "SolverParams",
     "SolverResult",
     "SolverState",
+    "check_initial",
     "feasibility",
     "init_state",
     "objective",
@@ -179,13 +180,37 @@ def feasibility(P: np.ndarray, n_occ: float) -> FeasibilityReport:
     )
 
 
+def check_initial(initial, n: int, n_occ: float) -> np.ndarray:
+    """Validate a starting point and return its symmetrized copy.
+
+    It must be n x n and feasible within INITIAL_FEAS_TOL; the violated
+    constraint is named in the rejection.
+    """
+    start = np.asarray(initial, dtype=float)
+    if start.shape != (n, n):
+        raise ValueError(f"initial matrix has shape {start.shape}, expected {(n, n)}")
+    rep = feasibility(start, n_occ)
+    if rep.asymmetry > INITIAL_FEAS_TOL:
+        raise ValueError(f"initial matrix is not symmetric (||P - P.T|| = {rep.asymmetry:.3e})")
+    if rep.trace_error > INITIAL_FEAS_TOL:
+        raise ValueError(
+            f"initial matrix violates the trace constraint "
+            f"(|tr P - {n_occ}| = {rep.trace_error:.3e})"
+        )
+    if max(rep.eig_below, rep.eig_above) > INITIAL_FEAS_TOL:
+        raise ValueError(
+            f"initial matrix has eigenvalues outside [0, 1] "
+            f"(below by {rep.eig_below:.3e}, above by {rep.eig_above:.3e})"
+        )
+    return symmetrize(start)
+
+
 def init_state(
     H: np.ndarray, params: SolverParams, initial: np.ndarray | None = None
 ) -> SolverState:
     """Starting point: P = Q = R = initial (default (N/n) I), b = d = 0.
 
-    A supplied initial matrix must be feasible within INITIAL_FEAS_TOL;
-    the violated constraint is named in the rejection.
+    A supplied initial matrix goes through ``check_initial``.
     """
     n = H.shape[0]
     if params.n_occ > n:
@@ -193,23 +218,7 @@ def init_state(
     if initial is None:
         start = (params.n_occ / n) * np.eye(n)
     else:
-        start = np.asarray(initial, dtype=float)
-        if start.shape != (n, n):
-            raise ValueError(f"initial matrix has shape {start.shape}, expected {(n, n)}")
-        rep = feasibility(start, params.n_occ)
-        if rep.asymmetry > INITIAL_FEAS_TOL:
-            raise ValueError(f"initial matrix is not symmetric (||P - P.T|| = {rep.asymmetry:.3e})")
-        if rep.trace_error > INITIAL_FEAS_TOL:
-            raise ValueError(
-                f"initial matrix violates the trace constraint "
-                f"(|tr P - {params.n_occ}| = {rep.trace_error:.3e})"
-            )
-        if max(rep.eig_below, rep.eig_above) > INITIAL_FEAS_TOL:
-            raise ValueError(
-                f"initial matrix has eigenvalues outside [0, 1] "
-                f"(below by {rep.eig_below:.3e}, above by {rep.eig_above:.3e})"
-            )
-        start = symmetrize(start)
+        start = check_initial(initial, n, params.n_occ)
     zero = np.zeros((n, n))
     return SolverState(P=start.copy(), Q=start.copy(), R=start.copy(),
                        b=zero.copy(), d=zero.copy(), iteration=0)

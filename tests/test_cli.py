@@ -5,11 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsedm import cli
+from sparsedm import cli, diagnostics
 from sparsedm.cli import ConfigError, load_config, main, parse_config_text
+from sparsedm.hamiltonian import Grid1D, build_laplacian_1d
 from sparsedm.linalg import read_matrix, write_matrix
 
-from helpers import example2_h, example2_saddle
+from helpers import example2_h, example2_saddle, random_feasible
 
 # The sweep fixtures use a gapped occupation, so a degenerate level is a bug.
 pytestmark = pytest.mark.filterwarnings("error::sparsedm.diagnostics.DegenerateGapWarning")
@@ -283,6 +284,90 @@ def test_bad_hamiltonian_input_fails_before_any_output(ex2_files, capsys, comman
     assert not out.exists()
 
 
+BAD_START_CASES = {
+    # config key -> matrix written to the file it names
+    "initial.path": np.eye(3),  # trace 3, target 1
+    "saddle.p": np.eye(2),  # the Hamiltonian is 3 x 3
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("key", sorted(BAD_START_CASES))
+def test_bad_start_matrix_fails_before_any_output(ex2_files, capsys, command, key):
+    write_matrix(ex2_files / "bad.mat", BAD_START_CASES[key])
+    out = ex2_files / "out"
+    text = solve_cfg_text(ex2_files, out, with_saddle=True)
+    text = "".join(line for line in text.splitlines(keepends=True) if not line.startswith(key))
+    cfg = write_cfg(ex2_files / "c.cfg", text + f"{key} = {ex2_files / 'bad.mat'}\n")
+    assert main([command, "--config", cfg]) == 1
+    assert f"error: {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_loads_start_matrices_once(ex2_files, monkeypatch):
+    loaded = []
+
+    def recording_load(path):
+        loaded.append(Path(path).name)
+        return load_matrix(path)
+
+    load_matrix = cli.load_matrix
+    monkeypatch.setattr(cli, "load_matrix", recording_load)
+    write_matrix(ex2_files / "P0.mat", np.diag([1.0, 0.0, 0.0]))
+    text = solve_cfg_text(ex2_files, ex2_files / "out", with_saddle=True).replace(
+        "solver.mu = 1\n", "solver.mu = 1, 2, 4\n")
+    cfg = write_cfg(ex2_files / "c.cfg", text + f"initial.path = {ex2_files / 'P0.mat'}\n")
+    assert main(["sweep", "--config", cfg]) == 0
+    assert sorted(loaded) == ["P0.mat", "Ps.mat", "Qs.mat", "Rs.mat", "bs.mat", "ds.mat"]
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Every matrix the CLI and the diagnostics pass to sym_eig."""
+    calls = []
+
+    def recording_eig(a):
+        calls.append(np.array(a))
+        return sym_eig(a)
+
+    sym_eig = cli.sym_eig
+    monkeypatch.setattr(cli, "sym_eig", recording_eig)
+    monkeypatch.setattr(diagnostics, "sym_eig", recording_eig)
+    return calls
+
+
+def named(calls, **known):
+    """Sorted names of the known matrices decomposed; 'other' for the rest."""
+    return sorted(next((name for name, m in known.items() if np.array_equal(a, m)), "other")
+                  for a in calls)
+
+
+def test_exact_decomposes_h_once(ex2_files, eig_calls):
+    cfg = write_cfg(ex2_files / "e.cfg", solve_cfg_text(ex2_files, ex2_files / "exact"))
+    assert main(["exact", "--config", cfg]) == 0
+    assert named(eig_calls, H=example2_h()) == ["H"]
+
+
+def test_diagnose_decomposes_h_and_p_once(ex2_files, eig_calls):
+    run = ex2_files / "run"
+    run.mkdir()
+    p = random_feasible(np.random.default_rng(5), 3, 1)
+    write_matrix(run / "P.mat", p)
+    cfg = write_cfg(ex2_files / "d.cfg", diag_cfg_text(ex2_files, run))
+    assert main(["diagnose", "--config", cfg]) == 0
+    # "other" is the Ritz surrogate sqrt(P) H sqrt(P)
+    assert named(eig_calls, H=example2_h(), P=p) == ["H", "P", "other"]
+
+
+@pytest.mark.parametrize("mus", ["25", "10, 40, 100"])
+def test_sweep_decomposes_h_once(tmp_path, monkeypatch, eig_calls, mus):
+    monkeypatch.setenv("SPARSEDM_SWEEP_THREADS", "2")
+    cfg = write_cfg(tmp_path / "s.cfg", sweep_cfg_text(tmp_path / "o", mus=mus))
+    assert main(["sweep", "--config", cfg]) == 0
+    h = build_laplacian_1d(Grid1D(length=10, n=16))
+    assert named(eig_calls, H=h) == ["H"]
+
+
 def test_sweep_rejects_bad_thread_env(tmp_path, monkeypatch, capsys):
     cfg = write_cfg(tmp_path / "s.cfg", sweep_cfg_text(tmp_path / "o"))
     for value in ("many", "0", "-2"):
@@ -335,7 +420,7 @@ def test_sweep_restores_blas_threads_on_failure(tmp_path, monkeypatch, capsys, b
     assert "mu=40 failed: boom" in capsys.readouterr().err
     assert blas_threads.get() == 2
 
-    def failing_metrics(*args):
+    def failing_metrics(*args, **kwargs):
         raise ValueError("bad metrics")
 
     monkeypatch.setattr(cli, "energy_gap_metrics", failing_metrics)

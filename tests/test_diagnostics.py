@@ -20,7 +20,7 @@ from sparsedm.diagnostics import (
     write_theta_csv,
 )
 from sparsedm.hamiltonian import Grid1D, build_laplacian_1d
-from sparsedm.linalg import fro_norm
+from sparsedm.linalg import fro_norm, sym_eig, symmetrize
 
 from helpers import gapped_hamiltonian, random_feasible, random_symmetric
 
@@ -238,6 +238,44 @@ def test_band_occupations_sum_to_trace():
     p = random_feasible(rng, 12, 5)
     h = random_symmetric(rng, 12)
     assert band_occupations(p, h).sum() == pytest.approx(5.0, abs=1e-9)
+
+
+def test_band_weights_match_explicit_loop():
+    rng = np.random.default_rng(64)
+    n, k = 64, 9
+    p, h = random_symmetric(rng, n), random_symmetric(rng, n)
+    _, v = np.linalg.eigh(h)
+    theta = [v[:, i] @ p @ v[:, i] for i in range(n)]
+    assert np.max(np.abs(band_occupations(p, h) - theta)) <= 1e-12
+
+    f, w = np.linalg.eigh(p)
+    root = symmetrize((w * np.sqrt(np.clip(f, 0.0, None))) @ w.T)
+    s, u = np.linalg.eigh(symmetrize(root @ h @ root))
+    weight = np.array([u[:, i] @ p @ u[:, i] for i in range(n)])
+    keep = np.argsort(-weight, kind="stable")[:k]
+    ritz, low = ritz_compare(p, h, k)
+    assert np.max(np.abs(ritz - np.sort(s[keep]))) <= 1e-12
+    assert np.max(np.abs(low - np.linalg.eigvalsh(h)[:k])) <= 1e-12
+
+
+def test_given_spectra_give_bitwise_the_same_results():
+    rng = np.random.default_rng(65)
+    n, n_occ = 24, 5
+    h = gapped_hamiltonian(rng, n, n_occ)
+    p = random_feasible(rng, n, n_occ)
+    h_eig, p_eig = sym_eig(h), sym_eig(p)
+    pairs = [
+        (exact_density_matrix(h, n_occ), exact_density_matrix(h, n_occ, h_eig=h_eig)),
+        (energy_gap_metrics(p, h, n_occ), energy_gap_metrics(p, h, n_occ, h_eig=h_eig)),
+        (space_approximation(p, h, n_occ), space_approximation(p, h, n_occ, h_eig=h_eig)),
+        (band_occupations(p, h), band_occupations(p, h, h_eig=h_eig)),
+        (occupation_numbers(p), occupation_numbers(p, p_eig=p_eig)),
+        (ritz_compare(p, h, n_occ), ritz_compare(p, h, n_occ, p_eig=p_eig, h_eig=h_eig)),
+    ]
+    for computed, given in pairs:
+        if not isinstance(computed, tuple):
+            computed, given = (computed,), (given,)
+        assert all(np.array_equal(a, b) for a, b in zip(computed, given))
 
 
 def test_sparsity_fraction():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,27 @@ def test_matrix_file_layout(tmp_path):
     assert [float(v) for v in lines[1].split()] == [1.0, 0.5]
 
 
+def test_write_matrix_exact_bytes(tmp_path):
+    path = tmp_path / "g.mat"
+    write_matrix(path, np.array([[-0.0, 5e-324, 1e300], [0.1, 3.0, -2.0], [1e16, 0.5, -123.0]]))
+    assert path.read_bytes() == (
+        b"3\n"
+        b"-0 4.9406564584124654e-324 1.0000000000000001e+300\n"
+        b"0.10000000000000001 3 -2\n"
+        b"10000000000000000 0.5 -123\n"
+    )
+
+
+def test_write_matrix_matches_per_entry_format(tmp_path):
+    rng = np.random.default_rng(37)
+    a = rng.standard_normal((37, 37)) * 10.0 ** rng.integers(-300, 300, (37, 37))
+    a[0, :3] = (-0.0, 5e-324, 2.0)
+    path = tmp_path / "r.mat"
+    write_matrix(path, a)
+    expected = "\n".join(["37"] + [" ".join(f"{v:.17g}" for v in row) for row in a]) + "\n"
+    assert path.read_text() == expected
+
+
 def test_write_csv_exact_bytes(tmp_path):
     path = tmp_path / "r.csv"
     rows = [
@@ -104,6 +127,39 @@ def test_read_matrix_rejects_malformed(tmp_path, content):
     path = tmp_path / "bad.mat"
     path.write_text(content)
     with pytest.raises(MatrixFormatError):
+        read_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "\n2\n\n1 0\n\n0 1\n\n\n",  # blank lines before, between and after the rows
+        " \t2  \n1 0\n0 1\n",  # header with surrounding whitespace
+        "2\r\n1 0\r\n0 1",  # CRLF line ends, no final newline
+    ],
+)
+def test_read_matrix_accepts_loose_layout(tmp_path, content):
+    path = tmp_path / "ok.mat"
+    path.write_text(content)
+    assert np.array_equal(read_matrix(path), np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("2\n1 0\n0 1\n2 2\n3 3\n", "expected 2 rows, found 4"),
+        ("2\n1 0\n0 1\nfoo\n", "expected 2 rows, found 3"),
+        ("3\n1 2 3\n1 2\n4 5 6\n", "row 2 has 2 entries, expected 3"),
+        ("3\n1 2 3\n1 2\n", "expected 3 rows, found 2"),
+        ("2\n1 0\n0 x\n", "row 2 contains a non-numeric entry"),
+        ("1000000000\n1 2\n", "expected 1000000000 rows, found 1"),
+        (" x \n1\n", "header ' x ' is not an integer"),
+    ],
+)
+def test_read_matrix_error_messages(tmp_path, content, message):
+    path = tmp_path / "bad.mat"
+    path.write_text(content)
+    with pytest.raises(MatrixFormatError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
         read_matrix(path)
 
 

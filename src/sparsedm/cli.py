@@ -123,9 +123,17 @@ KEYS: dict[str, tuple[type, str, Callable[[str], object]]] = {
 }
 
 
-def _key(cls: type, field: str) -> str:
-    """Config key that sets cls.field."""
-    return next(key for key, (c, f, _) in KEYS.items() if (c, f) == (cls, field))
+def _key(cls: type, field: str) -> str | None:
+    """Config key that sets cls.field; None if no key does."""
+    return next((key for key, (c, f, _) in KEYS.items() if (c, f) == (cls, field)), None)
+
+
+def _keyed(exc: ValueError, *classes: type) -> Exception:
+    """exc as a ConfigError naming the key of the field of classes that its
+    message starts with, as their range checks do; exc itself if none."""
+    field = str(exc).partition(" ")[0]
+    key = next(filter(None, (_key(cls, field) for cls in classes)), None)
+    return exc if key is None else ConfigError(f"{key}: {exc}")
 
 
 def _missing(cls: type, values: dict) -> list[str]:
@@ -138,14 +146,11 @@ def _missing(cls: type, values: dict) -> list[str]:
 
 
 def _build(cls: type, values: dict):
-    """cls(**values); a rejected value becomes a ConfigError naming its key.
-
-    The range checks of cls start their messages with the field name.
-    """
+    """cls(**values); a rejected value becomes a ConfigError naming its key."""
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"{_key(cls, str(exc).split()[0])}: {exc}") from None
+        raise _keyed(exc, cls) from None
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -234,13 +239,22 @@ def load_config(path: str | Path, out_override: str | None = None) -> RunConfig:
 
 
 def _hamiltonian(cfg: RunConfig) -> np.ndarray:
-    """Build H and check n_occ against its dimension, before any output is made."""
-    H = build_hamiltonian(cfg.ham, cfg.grid)
+    """Build H and check n_occ, the diagnose sites and ritz_k against its
+    dimension, before any output is made. A build error that starts with a
+    spec or grid field names its key."""
+    try:
+        H = build_hamiltonian(cfg.ham, cfg.grid)
+    except ValueError as exc:
+        raise _keyed(exc, HamiltonianSpec, Grid1D) from None
+    n = H.shape[0]
     n_occ = cfg.runs[0].n_occ
-    if n_occ > H.shape[0]:
-        raise ConfigError(
-            f"{_key(SolverParams, 'n_occ')} = {n_occ} exceeds the dimension {H.shape[0]}"
-        )
+    if n_occ > n:
+        raise ConfigError(f"{_key(SolverParams, 'n_occ')} = {n_occ} exceeds the dimension {n}")
+    for site in cfg.sites or ():
+        if not 0 <= site < n:
+            raise ConfigError(f"{_key(RunConfig, 'sites')}: site {site} is outside 0..{n - 1}")
+    if cfg.ritz_k is not None and not 1 <= cfg.ritz_k <= n:
+        raise ConfigError(f"{_key(RunConfig, 'ritz_k')} = {cfg.ritz_k} is outside 1..{n}")
     return H
 
 
@@ -444,8 +458,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
         raise ConfigError(f"{_key(RunConfig, 'run_dir')} is required for diagnose")
     p_path = cfg.run_dir / "P.mat"
     if not p_path.is_file():
-        print(f"error: no solution found: {p_path} is missing", file=sys.stderr)
-        return 1
+        raise ConfigError(f"{_key(RunConfig, 'run_dir')}: no solution found: {p_path} is missing")
     H = _hamiltonian(cfg)
     n = H.shape[0]
     P = _load_square(_key(RunConfig, "run_dir"), p_path, n)

@@ -143,11 +143,13 @@ def load_matrix(path) -> np.ndarray:
 
 
 def build_hamiltonian(spec: HamiltonianSpec, grid: Grid1D | None = None) -> np.ndarray:
-    """Dispatch on the spec kind; grid is required except for from_file."""
+    """Dispatch on the spec kind; grid is required except for from_file.
+
+    Every kind passes ``require_symmetric``, which rejects a non-finite H.
+    """
     if spec.kind == "from_file":
         return load_matrix(spec.path)
     if grid is None:
         raise ValueError(f"{spec.kind} hamiltonian requires a grid")
-    if spec.kind == "free_laplacian":
-        return build_laplacian_1d(grid)
-    return build_kronig_penney(grid, spec)
+    H = build_laplacian_1d(grid) if spec.kind == "free_laplacian" else build_kronig_penney(grid, spec)
+    return require_symmetric(H, name="H")

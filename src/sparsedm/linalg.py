@@ -68,11 +68,12 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 
 def require_symmetric(a, name: str = "matrix") -> np.ndarray:
-    """Validate a dense symmetric matrix and return its symmetrized copy.
+    """Validate a dense symmetric matrix and return it exactly symmetric.
 
     Checks squareness, finiteness, and symmetry up to
-    ``SYMMETRY_RTOL * max(1, max|A|)``. Raises ValueError /
-    AsymmetricMatrixError naming the offending input.
+    ``SYMMETRY_RTOL * max(1, max|A|)``. An exactly symmetric float64 array
+    is returned as is, with no copy; a near-symmetric one as its symmetrized
+    copy. Raises ValueError / AsymmetricMatrixError naming the offending input.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -81,6 +82,8 @@ def require_symmetric(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be non-empty")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
+    if np.array_equal(a, a.T):
+        return a
     scale = max(1.0, float(np.abs(a).max()))
     asym = float(np.abs(a - a.T).max())
     if asym > SYMMETRY_RTOL * scale:

@@ -9,8 +9,8 @@ with quadratic penalties lam and r:
     P <- trace projection of (lam (Q - b) + r (R - d) - H) / (lam + r)
     Q <- shrink(P + b, 1 / (lam mu))
     R <- eigenvalue clamp of (P + d) onto [0, I]
-    b <- b + P - Q
-    d <- d + P - R
+    b <- (P + b) - Q
+    d <- (P + d) - R
 
 Every iterate is kept exactly symmetric. mu = inf disables the l1 term
 (shrinkage threshold 0), which recovers the pure trace minimization.
@@ -133,21 +133,20 @@ class IterationRecord:
 
 
 @dataclass
-class SolverResult:
-    """Final iterates with convergence status and sampled history.
+class SolverResult(SolverState):
+    """The final SolverState with convergence status and sampled history.
 
     P is the primary solution (exactly trace-feasible); R is its
     spectrally feasible companion. At convergence they agree to tol.
     """
 
-    P: np.ndarray
-    Q: np.ndarray
-    R: np.ndarray
-    b: np.ndarray
-    d: np.ndarray
-    converged: bool
-    iterations: int
+    converged: bool = False
     history: list[IterationRecord] = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        """Iterations run: the inherited ``iteration`` counter."""
+        return self.iteration
 
 
 def objective(P: np.ndarray, H: np.ndarray, mu: float) -> float:
@@ -219,9 +218,8 @@ def init_state(
         start = (params.n_occ / n) * np.eye(n)
     else:
         start = check_initial(initial, n, params.n_occ)
-    zero = np.zeros((n, n))
-    return SolverState(P=start.copy(), Q=start.copy(), R=start.copy(),
-                       b=zero.copy(), d=zero.copy(), iteration=0)
+    return SolverState(P=start, Q=start.copy(), R=start.copy(),
+                       b=np.zeros((n, n)), d=np.zeros((n, n)))
 
 
 def step(state: SolverState, H: np.ndarray, params: SolverParams) -> SolverState:
@@ -230,13 +228,13 @@ def step(state: SolverState, H: np.ndarray, params: SolverParams) -> SolverState
     The iterates stay exactly symmetric when H and the state are.
     """
     lam, r = params.lam, params.r
-    B = (lam * (state.Q - state.b) + r * (state.R - state.d) - H) / (lam + r)
-    P = trace_shift_project(B, params.n_occ)
-    Q = soft_threshold(P + state.b, params.shrink_threshold)
-    R = spectral_clamp(P + state.d)
-    b = state.b + P - Q
-    d = state.d + P - R
-    return SolverState(P=P, Q=Q, R=R, b=b, d=d, iteration=state.iteration + 1)
+    # The projection's argument B is left unnamed, so it is freed before the clamp.
+    P = trace_shift_project(
+        (lam * (state.Q - state.b) + r * (state.R - state.d) - H) / (lam + r), params.n_occ)
+    Pb, Pd = P + state.b, P + state.d
+    Q = soft_threshold(Pb, params.shrink_threshold)
+    R = spectral_clamp(Pd)
+    return SolverState(P=P, Q=Q, R=R, b=Pb - Q, d=Pd - R, iteration=state.iteration + 1)
 
 
 def saddle_distance(state: SolverState, ref: SaddlePoint, lam: float, r: float) -> float:
@@ -264,12 +262,11 @@ def solve(
     Convergence also requires ||P|| and the three residuals to be finite.
     History is sampled every record_every iterations plus the final one.
     When saddle_ref is given, each record carries the saddle distance.
-    Hitting max_iter returns converged=False rather than raising. H must
-    be symmetric within the tolerance of ``require_symmetric``.
+    Hitting max_iter returns converged=False rather than raising. H goes
+    through ``require_symmetric``: it must be finite and symmetric within
+    its tolerance.
     """
-    # The iterates are exactly symmetric only if H is; copy H only when not.
-    if not np.array_equal(H, H.T):
-        H = require_symmetric(H, name="H")
+    H = require_symmetric(H, name="H")
     state = init_state(H, params, initial)
     history: list[IterationRecord] = []
     converged = False
@@ -298,10 +295,7 @@ def solve(
             ))
         if converged:
             break
-    return SolverResult(
-        P=state.P, Q=state.Q, R=state.R, b=state.b, d=state.d,
-        converged=converged, iterations=state.iteration, history=history,
-    )
+    return SolverResult(**vars(state), converged=converged, history=history)
 
 
 def write_history_csv(path, history: list[IterationRecord]) -> None:

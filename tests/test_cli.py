@@ -264,9 +264,12 @@ def test_sweep_marks_unconverged_run_but_completes(tmp_path):
 
 
 BAD_H_CASES = {
-    # config lines -> the key or field the error must name
+    # config lines -> the key, field or fault the error must name
     "v0_nan": (KP_CFG + "hamiltonian.v0 = nan\n", "hamiltonian.v0"),
-    "centers_nan": (KP_CFG + "hamiltonian.centers = 5, nan\n", "centers"),
+    "centers_nan": (KP_CFG + "hamiltonian.centers = 5, nan\n", "hamiltonian.centers"),
+    "centers_outside": (KP_CFG + "hamiltonian.centers = 5, 500\n", "hamiltonian.centers"),
+    "length_overflows": ("hamiltonian.kind = free_laplacian\ngrid.length = 1e-160\ngrid.n = 8\n"
+                         "solver.mu = 1\nsolver.n_occ = 1\n", "non-finite"),
     "n_occ_above_dim": ("hamiltonian.kind = from_file\nhamiltonian.path = {H}\n"
                         "solver.mu = 1\nsolver.n_occ = 4\n", "solver.n_occ"),
 }
@@ -482,7 +485,20 @@ def diag_cfg_text(ex2_files, run_dir, with_saddle=False):
 def test_diagnose_requires_solution(ex2_files, capsys):
     cfg = write_cfg(ex2_files / "d.cfg", diag_cfg_text(ex2_files, ex2_files / "void"))
     assert main(["diagnose", "--config", cfg]) == 1
-    assert "P.mat" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "P.mat" in err and "run.dir" in err
+
+
+@pytest.mark.parametrize("key, value", [("diagnose.sites", "0, 7"), ("diagnose.ritz_k", "9")])
+def test_bad_diagnose_index_fails_before_any_output(ex2_files, capsys, key, value):
+    run = ex2_files / "run"
+    run.mkdir()
+    write_matrix(run / "P.mat", np.diag([1.0, 0.0, 0.0]))
+    text = diag_cfg_text(ex2_files, run).replace("diagnose.sites = 0,2\n", "")
+    cfg = write_cfg(ex2_files / "d.cfg", text + f"{key} = {value}\n")
+    assert main(["diagnose", "--config", cfg]) == 1
+    assert f"error: {key}" in capsys.readouterr().err
+    assert sorted(path.name for path in run.iterdir()) == ["P.mat"]
 
 
 def test_diagnose_on_exact_projector(ex2_files):

@@ -132,3 +132,10 @@ def test_load_matrix_rejects_asymmetric_file(tmp_path):
 def test_build_requires_grid_for_stencils():
     with pytest.raises(ValueError, match="grid"):
         build_hamiltonian(HamiltonianSpec("free_laplacian"))
+
+
+@pytest.mark.parametrize("kind", ["free_laplacian", "kronig_penney"])
+def test_build_rejects_non_finite_stencil(kind):
+    # The spacing 1.25e-161 squares to a subnormal, so 1/h^2 overflows to inf.
+    with pytest.raises(ValueError, match="non-finite"):
+        build_hamiltonian(HamiltonianSpec(kind), Grid1D(length=1e-160, n=8))

@@ -35,7 +35,14 @@ def test_require_symmetric_accepts_tiny_asymmetry():
     a = random_symmetric(rng, 8)
     a[0, 1] += 1e-14
     out = require_symmetric(a)
+    assert out is not a
+    assert np.array_equal(out, symmetrize(a))
     assert np.array_equal(out, out.T)
+
+
+def test_require_symmetric_returns_exactly_symmetric_input_itself():
+    a = random_symmetric(np.random.default_rng(3), 8)
+    assert require_symmetric(a) is a
 
 
 def test_require_symmetric_rejects_asymmetry():
@@ -46,7 +53,8 @@ def test_require_symmetric_rejects_asymmetry():
 
 @pytest.mark.parametrize(
     "bad",
-    [np.zeros((2, 3)), np.zeros(4), np.zeros((0, 0)), np.array([[1.0, np.nan], [np.nan, 1.0]])],
+    [np.zeros((2, 3)), np.zeros(4), np.zeros((0, 0)), np.array([[1.0, np.nan], [np.nan, 1.0]]),
+     np.diag([np.inf, 1.0, 2.0])],
 )
 def test_require_symmetric_rejects_malformed(bad):
     with pytest.raises(ValueError):

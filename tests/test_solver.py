@@ -9,6 +9,7 @@ from sparsedm.linalg import fro_norm
 from sparsedm.solver import (
     IterationRecord,
     SolverParams,
+    SolverState,
     feasibility,
     init_state,
     objective,
@@ -115,6 +116,30 @@ def test_solve_symmetrizes_nearly_symmetric_h_and_rejects_asymmetric():
     h[0, 1] += 1e-3
     with pytest.raises(ValueError, match="H is asymmetric"):
         solve(h, SolverParams(mu=10.0, n_occ=3))
+
+
+def test_solve_rejects_non_finite_symmetric_h():
+    with pytest.raises(ValueError, match="non-finite"):
+        solve(np.diag([np.inf, 1.0, 2.0]), SolverParams(mu=10.0, n_occ=1))
+
+
+def test_step_multipliers_are_bitwise_b_plus_p_minus_q():
+    # step forms (P + b) - Q; IEEE addition commutes, so that is b + P - Q bit for bit.
+    rng = np.random.default_rng(25)
+    h = random_symmetric(rng, 10, scale=2.0)
+    params = SolverParams(mu=10.0, n_occ=3)
+    state = init_state(h, params)
+    for _ in range(5):
+        new = step(state, h, params)
+        assert np.array_equal(new.b, state.b + new.P - new.Q)
+        assert np.array_equal(new.d, state.d + new.P - new.R)
+        state = new
+
+
+def test_result_is_the_final_state():
+    res = solve(example2_h(), SolverParams(mu=1.0, n_occ=1, max_iter=4, tol=1e-12))
+    assert isinstance(res, SolverState)
+    assert res.iterations == res.iteration == 4
 
 
 def test_small_instance_reaches_known_minimum():

@@ -240,11 +240,14 @@ def load_config(path: str | Path, out_override: str | None = None) -> RunConfig:
 
 def _hamiltonian(cfg: RunConfig) -> np.ndarray:
     """Build H and check n_occ, the diagnose sites and ritz_k against its
-    dimension, before any output is made. A build error that starts with a
-    spec or grid field names its key."""
+    dimension, before any output is made. A from_file load error names
+    hamiltonian.path; a build error that starts with a spec or grid field
+    names its key."""
     try:
         H = build_hamiltonian(cfg.ham, cfg.grid)
     except ValueError as exc:
+        if cfg.ham.kind == "from_file":
+            raise ConfigError(f"{_key(HamiltonianSpec, 'path')}: {exc}") from None
         raise _keyed(exc, HamiltonianSpec, Grid1D) from None
     n = H.shape[0]
     n_occ = cfg.runs[0].n_occ

@@ -7,8 +7,10 @@ Matrices are plain float64 numpy arrays of shape (n, n). The kernels
 preserve the exact symmetry of symmetric input: entrywise and diagonal
 maps do so by construction, and ``spectral_clamp``, whose matrix product
 does not, ends with the symmetrization ``(A + A.T) / 2``, which is
-bitwise symmetric under IEEE arithmetic. Downstream code may therefore
-rely on ``A[i, j] == A[j, i]`` exactly for outputs of symmetric input.
+bitwise symmetric under IEEE arithmetic. That holds on both of its
+paths: from the full ``sym_eig`` and from the certified low-rank pairs of
+``warm_positive_eig``. Downstream code may therefore rely on
+``A[i, j] == A[j, i]`` exactly for outputs of symmetric input.
 """
 
 from __future__ import annotations
@@ -32,12 +34,18 @@ __all__ = [
     "symmetrize",
     "trace_product",
     "trace_shift_project",
+    "warm_positive_eig",
     "write_csv",
     "write_matrix",
 ]
 
 # Relative asymmetry allowed before an input is rejected outright.
 SYMMETRY_RTOL = 1e-12
+
+# warm_positive_eig: degree of its Chebyshev filter, and the Ritz residual
+# allowed relative to max(1, ||A||_F).
+FILTER_DEGREE = 16
+WARM_RTOL = 1e-10
 
 
 class MatrixFormatError(ValueError):
@@ -130,10 +138,68 @@ def trace_shift_project(b: np.ndarray, n_occ: float) -> np.ndarray:
     return out
 
 
-def spectral_clamp(a: np.ndarray) -> np.ndarray:
-    """Project onto {0 <= R <= I} by clipping eigenvalues into [0, 1]."""
-    w, v = sym_eig(a)
+def spectral_clamp(a: np.ndarray, eig: SpectralDecomposition | None = None) -> np.ndarray:
+    """Project onto {0 <= R <= I} by clipping eigenvalues into [0, 1].
+
+    eig, when given, replaces ``sym_eig(a)``: either that full decomposition,
+    which gives bitwise the same result, or the pairs of ``warm_positive_eig``.
+    """
+    w, v = sym_eig(a) if eig is None else eig
     return symmetrize((v * np.clip(w, 0.0, 1.0)) @ v.T)
+
+
+def warm_positive_eig(a: np.ndarray, basis: np.ndarray) -> SpectralDecomposition | None:
+    """Ritz pairs of symmetric a that provably hold all its positive
+    eigenpairs, computed from a warm basis; None when that cannot be proved.
+
+    The n x k orthonormal basis, typically last step's top eigenvectors,
+    goes through a Chebyshev filter of degree FILTER_DEGREE that damps the
+    interval [lo, 0], lo the Gershgorin lower bound of the spectrum (Zhou,
+    Saad, Tiago & Chelikowsky 2006), then a QR and a Rayleigh-Ritz step.
+    With U+, Theta+ the Ritz pairs whose value is positive, the result is
+    accepted only if
+      - ||A U+ - U+ Theta+||_F <= WARM_RTOL * max(1, ||A||_F), and
+      - S = U+ (Theta+ + c I) U+^T - A, c = max(1, ||A||_F), has a Cholesky
+        factor: then x^T A x < 0 for every x orthogonal to U+, so no
+        positive eigenvalue lies outside span U+ (Sylvester's law of inertia).
+    As the clamp is nonexpansive, clipping Theta+ into [0, 1] then gives the
+    exact clamp of a to within sqrt(2) times that residual. A basis wider
+    than n / 3 is refused at once, since eigh is then about as cheap.
+    Returns all k Ritz pairs, ascending, so the caller can keep a margin.
+    """
+    n, k = basis.shape
+    if k > n / 3:
+        return None
+    scale = max(1.0, fro_norm(a))
+    diag = np.diag(a)
+    lo = float(np.min(diag - (np.abs(a).sum(axis=1) - np.abs(diag))))  # Gershgorin
+    if not (np.isfinite(scale) and lo < 0.0):
+        return None
+    # Scaled three-term recurrence, y = T_m((A - c) / e) basis / T_m((scale - c) / e);
+    # scale >= ||A||_2 lies above the spectrum.
+    c = lo / 2  # centre of [lo, 0]; -c is its half-width
+    e = -c
+    sigma1 = sigma = e / (scale - c)
+    prev, y = basis, (a @ basis - c * basis) * (sigma1 / e)
+    for _ in range(1, FILTER_DEGREE):
+        nxt = 1.0 / (2.0 / sigma1 - sigma)
+        prev, y = y, (a @ y - c * y) * (2.0 * nxt / e) - (sigma * nxt) * prev
+        sigma = nxt
+    q = np.linalg.qr(y)[0]
+    aq = a @ q
+    theta, w = np.linalg.eigh(q.T @ aq)
+    u = q @ w
+    pos = theta > 0.0
+    u_pos, theta_pos = u[:, pos], theta[pos]
+    if not fro_norm((aq @ w)[:, pos] - u_pos * theta_pos) <= WARM_RTOL * scale:
+        return None
+    s = (u_pos * (theta_pos + scale)) @ u_pos.T
+    s -= a
+    try:
+        np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        return None
+    return SpectralDecomposition(theta, u)
 
 
 def fro_norm(a: np.ndarray) -> float:

@@ -34,6 +34,7 @@ from .linalg import (
     symmetrize,
     trace_product,
     trace_shift_project,
+    warm_positive_eig,
     write_csv,
 )
 
@@ -56,6 +57,12 @@ __all__ = [
 
 # Tolerance for accepting a user-supplied starting point as feasible.
 INITIAL_FEAS_TOL = 1e-8
+
+# The clamp's warm basis holds the positive eigenvectors plus this many more.
+CLAMP_MARGIN = 8
+# After the m-th warm clamp failure in a row, the next min(2^(m-1), MAX_WAIT)
+# steps go straight to eigh.
+MAX_WAIT = 64
 
 
 @dataclass(frozen=True)
@@ -102,7 +109,13 @@ class SolverParams:
 
 @dataclass
 class SolverState:
-    """The five iterate matrices plus the iteration counter."""
+    """The five iterate matrices, the iteration counter and the clamp's warm start.
+
+    basis holds the top eigen- or Ritz vectors of the last P + d: the
+    positive ones plus CLAMP_MARGIN more. misses counts the warm clamp
+    failures in a row, and the next warm attempt waits until iteration
+    reaches retry.
+    """
 
     P: np.ndarray
     Q: np.ndarray
@@ -110,6 +123,9 @@ class SolverState:
     b: np.ndarray
     d: np.ndarray
     iteration: int = 0
+    basis: np.ndarray | None = None
+    misses: int = 0
+    retry: int = 0
 
 
 class SaddlePoint(NamedTuple):
@@ -225,16 +241,34 @@ def init_state(
 def step(state: SolverState, H: np.ndarray, params: SolverParams) -> SolverState:
     """One full sweep of the five updates; returns a fresh state.
 
-    The iterates stay exactly symmetric when H and the state are.
+    The clamp first tries ``warm_positive_eig`` from the state's basis and
+    falls back to the full ``sym_eig``, whose result is then bitwise the
+    dense ``spectral_clamp``. Failed warm attempts back off as MAX_WAIT
+    describes. The iterates stay exactly symmetric when H and the state are.
     """
     lam, r = params.lam, params.r
+    k = state.iteration + 1
     # The projection's argument B is left unnamed, so it is freed before the clamp.
     P = trace_shift_project(
         (lam * (state.Q - state.b) + r * (state.R - state.d) - H) / (lam + r), params.n_occ)
     Pb, Pd = P + state.b, P + state.d
     Q = soft_threshold(Pb, params.shrink_threshold)
-    R = spectral_clamp(Pd)
-    return SolverState(P=P, Q=Q, R=R, b=Pb - Q, d=Pd - R, iteration=state.iteration + 1)
+    eig, misses, retry = None, state.misses, state.retry
+    if state.basis is not None and state.iteration >= retry:
+        eig = warm_positive_eig(Pd, state.basis)
+        if eig is None:
+            misses += 1
+            retry = k + min(2 ** (misses - 1), MAX_WAIT)
+        else:
+            misses = 0
+    if eig is None:
+        eig = sym_eig(Pd)
+    R = spectral_clamp(Pd, eig)
+    width = np.count_nonzero(eig.eigenvalues > 0) + CLAMP_MARGIN
+    basis = eig.eigenvectors[:, -width:].copy()
+    del eig  # a dense step's n x n eigenvectors go before b and d are formed
+    return SolverState(P=P, Q=Q, R=R, b=Pb - Q, d=Pd - R, iteration=k,
+                       basis=basis, misses=misses, retry=retry)
 
 
 def saddle_distance(state: SolverState, ref: SaddlePoint, lam: float, r: float) -> float:

@@ -272,6 +272,10 @@ BAD_H_CASES = {
                          "solver.mu = 1\nsolver.n_occ = 1\n", "non-finite"),
     "n_occ_above_dim": ("hamiltonian.kind = from_file\nhamiltonian.path = {H}\n"
                         "solver.mu = 1\nsolver.n_occ = 4\n", "solver.n_occ"),
+    "from_file_asymmetric": ("hamiltonian.kind = from_file\nhamiltonian.path = {asym}\n"
+                             "solver.mu = 1\nsolver.n_occ = 1\n", "hamiltonian.path: "),
+    "from_file_malformed": ("hamiltonian.kind = from_file\nhamiltonian.path = {malformed}\n"
+                            "solver.mu = 1\nsolver.n_occ = 1\n", "hamiltonian.path: "),
 }
 
 
@@ -279,9 +283,11 @@ BAD_H_CASES = {
 @pytest.mark.parametrize("case", sorted(BAD_H_CASES))
 def test_bad_hamiltonian_input_fails_before_any_output(ex2_files, capsys, command, case):
     text, named = BAD_H_CASES[case]
+    (ex2_files / "asym.mat").write_text("2\n1 2\n3 4\n")
+    (ex2_files / "malformed.mat").write_text("2\n1 2\n3\n")
     out = ex2_files / "out"
-    cfg = write_cfg(ex2_files / "c.cfg",
-                    text.format(H=ex2_files / "H.mat") + f"output.dir = {out}\n")
+    paths = {name: ex2_files / f"{name}.mat" for name in ("H", "asym", "malformed")}
+    cfg = write_cfg(ex2_files / "c.cfg", text.format(**paths) + f"output.dir = {out}\n")
     assert main([command, "--config", cfg]) == 1
     assert named in capsys.readouterr().err
     assert not out.exists()

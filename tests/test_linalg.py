@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sparsedm.linalg import (
+    WARM_RTOL,
     AsymmetricMatrixError,
     MatrixFormatError,
     SpectralDecomposition,
@@ -17,6 +18,7 @@ from sparsedm.linalg import (
     symmetrize,
     trace_product,
     trace_shift_project,
+    warm_positive_eig,
     write_csv,
     write_matrix,
 )
@@ -244,6 +246,63 @@ def test_spectral_clamp_feasible_and_idempotent():
 
 def test_spectral_clamp_fixes_feasible_input():
     assert np.allclose(spectral_clamp(0.5 * np.eye(4)), 0.5 * np.eye(4))
+
+
+def few_positive(rng, n, p):
+    """Symmetric n x n matrix with p eigenvalues in [0.2, 1.5] and the rest
+    in [-2, -0.05], with its eigenvectors in ascending order."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    w = np.sort(np.concatenate([rng.uniform(-2.0, -0.05, n - p), rng.uniform(0.2, 1.5, p)]))
+    return symmetrize((q * w) @ q.T), q
+
+
+def test_spectral_clamp_given_full_decomposition_is_bitwise_dense():
+    a = random_symmetric(np.random.default_rng(12), 30, scale=2.0)
+    assert np.array_equal(spectral_clamp(a, sym_eig(a)), spectral_clamp(a))
+
+
+@pytest.mark.parametrize("n, p", [(60, 3), (96, 8), (120, 12)])
+@pytest.mark.parametrize("eps", [1e-8, 1e-4])
+def test_warm_clamp_within_residual_bound_of_dense(n, p, eps):
+    rng = np.random.default_rng(n)
+    a, _ = few_positive(rng, n, p)
+    # The warm basis: the top eigenvectors of a perturbed copy of a. One
+    # filter pass gains about T_16 at the smallest positive eigenvalue over
+    # the Gershgorin interval, a few hundred here, so a 1e-8 perturbation
+    # (about a late solver step) is certified and 1e-4 need not be.
+    basis = sym_eig(a + eps * random_symmetric(rng, n)).eigenvectors[:, -(p + 8):]
+    eig = warm_positive_eig(a, basis)
+    if eps > 1e-8 and eig is None:
+        return
+    assert eig is not None
+    theta, u = eig
+    pos = theta > 0
+    assert pos.sum() == p
+    residual = fro_norm(a @ u[:, pos] - u[:, pos] * theta[pos])
+    assert residual <= WARM_RTOL * max(1.0, fro_norm(a))
+    r = spectral_clamp(a, eig)
+    assert fro_norm(r - spectral_clamp(a)) <= np.sqrt(2) * residual + 1e-12
+    assert np.array_equal(r, r.T)
+    w = np.linalg.eigvalsh(r)
+    assert w[0] >= -1e-12 and w[-1] <= 1 + 1e-12
+
+
+def test_warm_basis_missing_a_positive_eigenvector_fails_certificate():
+    n, p = 90, 6
+    a, q = few_positive(np.random.default_rng(13), n, p)
+    # Exact eigenvectors, so the Ritz residual is tiny: the smallest positive
+    # one (column n - p) is swapped for the next negative one.
+    basis = np.delete(q, n - p, axis=1)[:, -(p + 8):]
+    assert warm_positive_eig(a, basis) is None
+    assert warm_positive_eig(a, q[:, -(p + 8):]) is not None
+    assert np.array_equal(spectral_clamp(a, sym_eig(a)), spectral_clamp(a))
+
+
+def test_warm_basis_wider_than_a_third_goes_dense():
+    n, p = 60, 4
+    a, q = few_positive(np.random.default_rng(14), n, p)
+    assert warm_positive_eig(a, q[:, -n // 3:]) is not None
+    assert warm_positive_eig(a, q[:, -(n // 3 + 1):]) is None
 
 
 def test_sym_eig_reconstructs():

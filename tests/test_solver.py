@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from sparsedm import solver
 from sparsedm.diagnostics import exact_density_matrix
-from sparsedm.hamiltonian import Grid1D, build_laplacian_1d
-from sparsedm.linalg import fro_norm
+from sparsedm.hamiltonian import Grid1D, HamiltonianSpec, build_kronig_penney, build_laplacian_1d
+from sparsedm.linalg import WARM_RTOL, fro_norm, soft_threshold, spectral_clamp, trace_shift_project
 from sparsedm.solver import (
     IterationRecord,
     SolverParams,
@@ -247,3 +248,56 @@ def test_history_csv_with_and_without_saddle(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].endswith(",saddle_distance")
     assert float(lines[1].split(",")[-1]) == 9.0
+
+
+# A gapped 5-well chain: about 290 iterations, most of them with 5 of 96
+# eigenvalues of P + d positive.
+CHAIN_H = build_kronig_penney(Grid1D(50.0, 96), HamiltonianSpec("kronig_penney", n_wells=5))
+CHAIN_PARAMS = SolverParams(mu=100.0, n_occ=5, lam=10.0, r=10.0, tol=1e-6, max_iter=2000)
+
+
+def dense_solve(monkeypatch):
+    """solve with every warm clamp failing, so every step runs eigh."""
+    with monkeypatch.context() as m:
+        m.setattr(solver, "warm_positive_eig", lambda a, basis: None)
+        return solve(CHAIN_H, CHAIN_PARAMS)
+
+
+def test_most_chain_steps_take_the_warm_clamp(monkeypatch):
+    calls = []
+
+    def counting_eig(a):
+        calls.append(a.shape)
+        return sym_eig(a)
+
+    sym_eig = solver.sym_eig
+    monkeypatch.setattr(solver, "sym_eig", counting_eig)
+    res = solve(CHAIN_H, CHAIN_PARAMS)
+    assert res.converged
+    assert len(calls) < res.iterations / 2
+
+
+def test_failing_warm_clamp_reproduces_dense_iterates_bitwise(monkeypatch):
+    res = dense_solve(monkeypatch)
+    # The iteration as it was before the warm clamp: every step clamps with eigh.
+    lam, r = CHAIN_PARAMS.lam, CHAIN_PARAMS.r
+    ref = init_state(CHAIN_H, CHAIN_PARAMS)
+    P, Q, R, b, d = ref.P, ref.Q, ref.R, ref.b, ref.d
+    for _ in range(res.iterations):
+        P = trace_shift_project((lam * (Q - b) + r * (R - d) - CHAIN_H) / (lam + r), CHAIN_PARAMS.n_occ)
+        Q = soft_threshold(P + b, CHAIN_PARAMS.shrink_threshold)
+        R = spectral_clamp(P + d)
+        b, d = b + P - Q, d + P - R
+    for got, want in zip((res.P, res.Q, res.R, res.b, res.d), (P, Q, R, b, d)):
+        assert np.array_equal(got, want)
+
+
+def test_warm_solve_matches_dense_solve(monkeypatch):
+    dense = dense_solve(monkeypatch)
+    warm = solve(CHAIN_H, CHAIN_PARAMS)
+    assert warm.converged and warm.iterations == dense.iterations
+    # Each warm clamp is within sqrt(2) WARM_RTOL max(1, ||P + d||_F) of eigh's.
+    # The iteration does not amplify such errors, so over k steps they add up
+    # to at most k times that; the final ||P + d||_F stands in for its maximum.
+    bound = warm.iterations * math.sqrt(2) * WARM_RTOL * max(1.0, fro_norm(warm.P + warm.d))
+    assert fro_norm(warm.P - dense.P) <= bound

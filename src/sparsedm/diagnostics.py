@@ -163,14 +163,23 @@ def ritz_compare(
     those whose eigenvectors carry the most occupation weight under P, so a
     zero Ritz value inside the occupied subspace is not displaced by the
     (n - rank) trivial zeros. Both outputs are sorted ascending.
+
+    The surrogate is solved in P's eigenbasis, P = V diag(f) V^T, over the
+    occupied set O = {j : f_j > 0}: with S = diag(sqrt(f_O)), the eigenpairs
+    (s, z) of S V_O^T H V_O S give the surrogate's eigenvectors V_O z with
+    weight f_O . z^2. Each column j outside O spans an exact zero row and
+    column of the surrogate, so it is an eigenvector of value 0 and weight f_j.
     """
     n = H.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     f, v = _eig(P, p_eig)
-    root = symmetrize((v * np.sqrt(np.clip(f, 0.0, None))) @ v.T)
-    s, u = sym_eig(symmetrize(root @ H @ root))
-    weight = np.einsum("ij,ij->j", u, P @ u)  # u_i' P u_i
+    occ = f > 0.0
+    f_occ, v_occ = f[occ], v[:, occ]
+    root = np.sqrt(f_occ)
+    s_occ, z = sym_eig(symmetrize(root[:, None] * (v_occ.T @ (H @ v_occ)) * root))
+    s = np.concatenate([s_occ, np.zeros(n - f_occ.size)])
+    weight = np.concatenate([f_occ @ z**2, f[~occ]])
     keep = np.argsort(-weight, kind="stable")[:k]
     w_h, _ = _eig(H, h_eig)
     return np.sort(s[keep]), w_h[:k].copy()

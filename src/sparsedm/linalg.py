@@ -1,7 +1,8 @@
 """Dense symmetric-matrix kernels and the shared text formats: matrices
-and CSV reports. The matrix text I/O streams row by row: ``write_matrix``
-formats and writes one row at a time, and ``read_matrix`` parses each
-line straight into the result array.
+and CSV reports. The matrix text I/O streams: ``write_matrix`` formats
+and writes one row at a time, and ``read_matrix`` parses CHUNK_ROWS lines
+at a time with numpy's C text reader straight into the result array,
+falling back to a per-row ``float()`` parse for a chunk numpy rejects.
 
 Matrices are plain float64 numpy arrays of shape (n, n). The kernels
 preserve the exact symmetry of symmetric input: entrywise and diagonal
@@ -46,6 +47,9 @@ SYMMETRY_RTOL = 1e-12
 # allowed relative to max(1, ||A||_F).
 FILTER_DEGREE = 16
 WARM_RTOL = 1e-10
+
+# read_matrix hands numpy's text reader this many rows at a time.
+CHUNK_ROWS = 64
 
 
 class MatrixFormatError(ValueError):
@@ -245,11 +249,40 @@ def write_csv(path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _parse_rows(chunk: list[str], n: int, first: int) -> tuple[np.ndarray | None, str | None]:
+    """Parse chunk, the text of matrix rows first + 1, first + 2, ..., into a
+    len(chunk) x n block: returns (block, None), or (None, message) naming
+    the first malformed row.
+
+    numpy's C reader parses the chunk at once. When it rejects the chunk or
+    returns another shape, the rows are parsed one by one with str.split and
+    float(), which are the reference for the accepted syntax (float() also
+    takes ``1_0`` and non-ASCII digits) and for the messages.
+    """
+    try:
+        block = np.loadtxt(chunk, dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        block = None
+    if block is not None and block.shape == (len(chunk), n):
+        return block, None
+    block = np.empty((len(chunk), n))
+    for i, line in enumerate(chunk):
+        fields = line.split()
+        if len(fields) != n:
+            return None, f"row {first + i + 1} has {len(fields)} entries, expected {n}"
+        try:
+            block[i] = [float(f) for f in fields]
+        except ValueError:
+            return None, f"row {first + i + 1} contains a non-numeric entry"
+    return block, None
+
+
 def read_matrix(path) -> np.ndarray:
     """Parse the matrix text format; raises MatrixFormatError on bad shape.
 
-    Blank lines are skipped. Each row is parsed straight into the result,
-    so the text is never held whole. A wrong row count is reported in
+    Blank lines are skipped. The rows are parsed CHUNK_ROWS at a time
+    straight into the result, so the text is never held whole; see
+    ``_parse_rows`` for the syntax. A wrong row count is reported in
     preference to a malformed row. The result is returned as-is (not
     symmetrized); callers that require symmetry should pass it through
     ``require_symmetric``.
@@ -265,25 +298,23 @@ def read_matrix(path) -> np.ndarray:
             raise MatrixFormatError(f"{path}: header {header!r} is not an integer") from None
         if n <= 0:
             raise MatrixFormatError(f"{path}: dimension must be positive, got {n}")
-        # Allocated at the first well-formed row, so a header far larger
+        # Allocated at the first well-formed chunk, so a header far larger
         # than the file allocates nothing.
         a = None
-        found, bad_row = 0, None
+        found, bad_row, chunk = 0, None, []
         for found, line in enumerate(lines, start=1):
             if found > n or bad_row is not None:
                 continue
-            fields = line.split()
-            if len(fields) != n:
-                bad_row = f"row {found} has {len(fields)} entries, expected {n}"
-                continue
-            try:
-                row = [float(f) for f in fields]
-            except ValueError:
-                bad_row = f"row {found} contains a non-numeric entry"
-                continue
-            if a is None:
-                a = np.empty((n, n))
-            a[found - 1] = row
+            chunk.append(line)
+            # A short file's last chunk is left unparsed: its row count is the error.
+            if len(chunk) == CHUNK_ROWS or found == n:
+                first = found - len(chunk)
+                block, bad_row = _parse_rows(chunk, n, first)
+                if block is not None:
+                    if a is None:
+                        a = np.empty((n, n))
+                    a[first:found] = block
+                chunk = []
     if found != n:
         raise MatrixFormatError(f"{path}: expected {n} rows, found {found}")
     if bad_row is not None:

@@ -112,9 +112,10 @@ class SolverState:
     """The five iterate matrices, the iteration counter and the clamp's warm start.
 
     basis holds the top eigen- or Ritz vectors of the last P + d: the
-    positive ones plus CLAMP_MARGIN more. misses counts the warm clamp
-    failures in a row, and the next warm attempt waits until iteration
-    reaches retry.
+    positive ones plus CLAMP_MARGIN more, or None when those are more than
+    n / 3, which ``warm_positive_eig`` refuses. misses counts the warm clamp
+    failures in a row, such a refusal included, and the next warm attempt
+    waits until iteration reaches retry.
     """
 
     P: np.ndarray
@@ -264,8 +265,17 @@ def step(state: SolverState, H: np.ndarray, params: SolverParams) -> SolverState
     if eig is None:
         eig = sym_eig(Pd)
     R = spectral_clamp(Pd, eig)
-    width = np.count_nonzero(eig.eigenvalues > 0) + CLAMP_MARGIN
-    basis = eig.eigenvectors[:, -width:].copy()
+    # The stored slice's width: a warm result has only the old basis's columns.
+    width = min(np.count_nonzero(eig.eigenvalues > 0) + CLAMP_MARGIN, eig.eigenvalues.size)
+    if width > Pd.shape[0] / 3:
+        # warm_positive_eig would refuse this basis: count the refusal as the
+        # next step's miss now, and store nothing.
+        basis = None
+        if k >= retry:
+            misses += 1
+            retry = k + 1 + min(2 ** (misses - 1), MAX_WAIT)
+    else:
+        basis = eig.eigenvectors[:, -width:].copy()
     del eig  # a dense step's n x n eigenvectors go before b and d are formed
     return SolverState(P=P, Q=Q, R=R, b=Pb - Q, d=Pd - R, iteration=k,
                        basis=basis, misses=misses, retry=retry)

@@ -20,7 +20,7 @@ from sparsedm.diagnostics import (
     write_theta_csv,
 )
 from sparsedm.hamiltonian import Grid1D, build_laplacian_1d
-from sparsedm.linalg import fro_norm, sym_eig, symmetrize
+from sparsedm.linalg import SpectralDecomposition, fro_norm, sym_eig, symmetrize
 
 from helpers import gapped_hamiltonian, random_feasible, random_symmetric
 
@@ -248,14 +248,25 @@ def test_band_weights_match_explicit_loop():
     theta = [v[:, i] @ p @ v[:, i] for i in range(n)]
     assert np.max(np.abs(band_occupations(p, h) - theta)) <= 1e-12
 
-    f, w = np.linalg.eigh(p)
-    root = symmetrize((w * np.sqrt(np.clip(f, 0.0, None))) @ w.T)
-    s, u = np.linalg.eigh(symmetrize(root @ h @ root))
-    weight = np.array([u[:, i] @ p @ u[:, i] for i in range(n)])
-    keep = np.argsort(-weight, kind="stable")[:k]
-    ritz, low = ritz_compare(p, h, k)
-    assert np.max(np.abs(ritz - np.sort(s[keep]))) <= 1e-12
-    assert np.max(np.abs(low - np.linalg.eigvalsh(h)[:k])) <= 1e-12
+    # Ritz values: a general symmetric P, a projector, and a clamped P with
+    # exact-zero and slightly negative occupations at k = its count of f > 0,
+    # and at k above that count.
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    f_clamped = np.sort(np.concatenate([rng.uniform(0.05, 1.0, 20), np.zeros(30),
+                                        -1e-15 * rng.random(14)]))
+    cases = [(p, np.linalg.eigh(p), k)]
+    projector = exact_density_matrix(gapped_hamiltonian(rng, n, k), k)
+    cases.append((projector, np.linalg.eigh(projector), k))
+    clamped = symmetrize((q * f_clamped) @ q.T)
+    cases += [(clamped, (f_clamped, q), kc) for kc in (20, 27)]
+    for p_case, (f, w), k_case in cases:
+        root = symmetrize((w * np.sqrt(np.clip(f, 0.0, None))) @ w.T)
+        s, u = np.linalg.eigh(symmetrize(root @ h @ root))
+        weight = np.array([u[:, i] @ p_case @ u[:, i] for i in range(n)])
+        keep = np.argsort(-weight, kind="stable")[:k_case]
+        ritz, low = ritz_compare(p_case, h, k_case, p_eig=SpectralDecomposition(f, w))
+        assert np.max(np.abs(ritz - np.sort(s[keep]))) <= 1e-12
+        assert np.max(np.abs(low - np.linalg.eigvalsh(h)[:k_case])) <= 1e-12
 
 
 def test_given_spectra_give_bitwise_the_same_results():

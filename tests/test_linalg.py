@@ -118,21 +118,37 @@ def test_write_csv_exact_bytes(tmp_path):
     assert path.read_bytes() == b"mu,l1\n"
 
 
-@pytest.mark.parametrize(
-    "content",
-    [
-        "",
-        "x\n1\n",
-        "0\n",
-        "-3\n",
-        "2\n1 0\n",
-        "2\n1 0\n0 1\n2 2\n",
-        "2\n1 0 0\n0 1\n",
-        "1\nfoo\n",
-        "1\nnan\n",
-        "1\ninf\n",
-    ],
-)
+MALFORMED = [
+    "",
+    "x\n1\n",
+    "0\n",
+    "-3\n",
+    "2\n1 0\n",
+    "2\n1 0\n0 1\n2 2\n",
+    "2\n1 0 0\n0 1\n",
+    "1\nfoo\n",
+    "1\nnan\n",
+    "1\ninf\n",
+]
+
+LOOSE_LAYOUTS = [
+    "\n2\n\n1 0\n\n0 1\n\n\n",  # blank lines before, between and after the rows
+    " \t2  \n1 0\n0 1\n",  # header with surrounding whitespace
+    "2\r\n1 0\r\n0 1",  # CRLF line ends, no final newline
+]
+
+ERROR_MESSAGES = [
+    ("2\n1 0\n0 1\n2 2\n3 3\n", "expected 2 rows, found 4"),
+    ("2\n1 0\n0 1\nfoo\n", "expected 2 rows, found 3"),
+    ("3\n1 2 3\n1 2\n4 5 6\n", "row 2 has 2 entries, expected 3"),
+    ("3\n1 2 3\n1 2\n", "expected 3 rows, found 2"),
+    ("2\n1 0\n0 x\n", "row 2 contains a non-numeric entry"),
+    ("1000000000\n1 2\n", "expected 1000000000 rows, found 1"),
+    (" x \n1\n", "header ' x ' is not an integer"),
+]
+
+
+@pytest.mark.parametrize("content", MALFORMED)
 def test_read_matrix_rejects_malformed(tmp_path, content):
     path = tmp_path / "bad.mat"
     path.write_text(content)
@@ -140,37 +156,98 @@ def test_read_matrix_rejects_malformed(tmp_path, content):
         read_matrix(path)
 
 
-@pytest.mark.parametrize(
-    "content",
-    [
-        "\n2\n\n1 0\n\n0 1\n\n\n",  # blank lines before, between and after the rows
-        " \t2  \n1 0\n0 1\n",  # header with surrounding whitespace
-        "2\r\n1 0\r\n0 1",  # CRLF line ends, no final newline
-    ],
-)
+@pytest.mark.parametrize("content", LOOSE_LAYOUTS)
 def test_read_matrix_accepts_loose_layout(tmp_path, content):
     path = tmp_path / "ok.mat"
     path.write_text(content)
     assert np.array_equal(read_matrix(path), np.eye(2))
 
 
-@pytest.mark.parametrize(
-    "content, message",
-    [
-        ("2\n1 0\n0 1\n2 2\n3 3\n", "expected 2 rows, found 4"),
-        ("2\n1 0\n0 1\nfoo\n", "expected 2 rows, found 3"),
-        ("3\n1 2 3\n1 2\n4 5 6\n", "row 2 has 2 entries, expected 3"),
-        ("3\n1 2 3\n1 2\n", "expected 3 rows, found 2"),
-        ("2\n1 0\n0 x\n", "row 2 contains a non-numeric entry"),
-        ("1000000000\n1 2\n", "expected 1000000000 rows, found 1"),
-        (" x \n1\n", "header ' x ' is not an integer"),
-    ],
-)
+@pytest.mark.parametrize("content, message", ERROR_MESSAGES)
 def test_read_matrix_error_messages(tmp_path, content, message):
     path = tmp_path / "bad.mat"
     path.write_text(content)
     with pytest.raises(MatrixFormatError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
         read_matrix(path)
+
+
+def reference_read_matrix(path) -> np.ndarray:
+    """read_matrix's contract as a plain per-row parse: str.split and float()."""
+    with open(path) as fh:
+        lines = [ln for raw in fh for ln in raw.splitlines() if ln.strip()]
+    if not lines:
+        raise MatrixFormatError(f"{path}: empty matrix file")
+    try:
+        n = int(lines[0])
+    except ValueError:
+        raise MatrixFormatError(f"{path}: header {lines[0]!r} is not an integer") from None
+    if n <= 0:
+        raise MatrixFormatError(f"{path}: dimension must be positive, got {n}")
+    rows = lines[1:]
+    if len(rows) != n:
+        raise MatrixFormatError(f"{path}: expected {n} rows, found {len(rows)}")
+    a = np.empty((n, n))
+    for i, line in enumerate(rows, start=1):
+        fields = line.split()
+        if len(fields) != n:
+            raise MatrixFormatError(f"{path}: row {i} has {len(fields)} entries, expected {n}")
+        try:
+            a[i - 1] = [float(f) for f in fields]
+        except ValueError:
+            raise MatrixFormatError(f"{path}: row {i} contains a non-numeric entry") from None
+    if not np.all(np.isfinite(a)):
+        raise MatrixFormatError(f"{path}: matrix contains non-finite entries")
+    return a
+
+
+def chunked_file(n: int, bad: int | None = None, entry: str = "x") -> str:
+    """An n x n matrix text of 17-digit entries; row `bad` (1-based) gets
+    `entry` in place of its last field."""
+    rng = np.random.default_rng(n)
+    rows = [" ".join("%.17g" % v for v in rng.standard_normal(n)) for _ in range(n)]
+    if bad is not None:
+        rows[bad - 1] = rows[bad - 1].rsplit(" ", 1)[0] + " " + entry
+    return f"{n}\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize(
+    "content",
+    MALFORMED + LOOSE_LAYOUTS + [content for content, _ in ERROR_MESSAGES] + [
+        "2\n1_0 0\n0 1\n",  # float() takes digit separators, numpy does not
+        "2\n\u0661 0\n0 \u0967\n",  # non-ASCII digits
+        "2\n1 0\f0 1\n",  # \f, \v, \x1c and U+2028 end a line for splitlines
+        "2\n1 0\v0 1\n",
+        "2\n1 0\x1c0 1\n",
+        "2\n1 0\u20280 1\n",
+        "2\n1\xa00\n0\xa0\xa01\n",  # NBSP between fields
+        "2\n1e400 0\n0 1\n",
+        "2\n1e-400 -0\n0 1\n",
+        "2\n1 0 \x00\n0 1\n",
+        "2\n1 0\n\xa0\n0 1\n",  # a row of Unicode whitespace is a blank line
+        pytest.param(chunked_file(70), id="n70"),
+        # numpy rejects chunk 1, float() accepts it
+        pytest.param(chunked_file(70, 3, "1_0"), id="n70-row3-1_0"),
+        *(pytest.param(chunked_file(70, bad), id=f"n70-row{bad}-x") for bad in (64, 65, 70)),
+        *(pytest.param(chunked_file(70, bad, "1 2"), id=f"n70-row{bad}-71-entries")
+          for bad in (64, 65, 70)),
+        pytest.param(chunked_file(70, 64) + "1 2\n", id="n70-71-rows"),
+        pytest.param(chunked_file(70).rsplit("\n", 2)[0] + "\n", id="n70-69-rows"),
+    ],
+)
+def test_read_matrix_matches_per_row_reference(tmp_path, content):
+    path = tmp_path / "m.mat"
+    path.write_text(content, encoding="utf-8")
+    outcomes = []
+    for parse in (read_matrix, reference_read_matrix):
+        try:
+            outcomes.append(parse(path))
+        except MatrixFormatError as exc:
+            outcomes.append(str(exc))
+    got, want = outcomes
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
 
 
 def test_read_matrix_does_not_symmetrize(tmp_path):

@@ -301,3 +301,22 @@ def test_warm_solve_matches_dense_solve(monkeypatch):
     # to at most k times that; the final ||P + d||_F stands in for its maximum.
     bound = warm.iterations * math.sqrt(2) * WARM_RTOL * max(1.0, fro_norm(warm.P + warm.d))
     assert fro_norm(warm.P - dense.P) <= bound
+
+
+def test_clamp_basis_wider_than_a_third_is_not_stored(monkeypatch):
+    # The first P + d has 57 of 96 eigenvalues positive. A step that sees
+    # such a spectrum stores no basis, which warm_positive_eig would refuse,
+    # and books that refusal as a miss on the back-off schedule.
+    state = init_state(CHAIN_H, CHAIN_PARAMS)
+    booked = []
+    for _ in range(3):
+        state = step(state, CHAIN_H, CHAIN_PARAMS)
+        booked.append((state.basis is None, state.misses, state.retry))
+    assert booked == [(True, 1, 3), (True, 1, 3), (True, 2, 6)]
+
+    widths = []
+    warm = solver.warm_positive_eig
+    monkeypatch.setattr(solver, "warm_positive_eig",
+                        lambda a, basis: widths.append(basis.shape[1]) or warm(a, basis))
+    assert solve(CHAIN_H, CHAIN_PARAMS).converged
+    assert widths and max(widths) <= CHAIN_H.shape[0] / 3

@@ -443,17 +443,15 @@ def cmd_exact(cfg: RunConfig) -> int:
     return 0
 
 
-def _extract_saddle_csv(history_path: Path, dest: Path) -> None:
-    """Copy iter + saddle_distance out of a run's history.csv verbatim."""
-    with open(history_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "saddle_distance" not in reader.fieldnames:
-            raise ConfigError(
-                f"{history_path} has no saddle_distance column; "
-                "run solve with the saddle.* reference paths in the config"
-            )
-        rows = [(row["iter"], row["saddle_distance"]) for row in reader]
-    write_csv(dest, ("iter", "saddle_distance"), rows)
+def _extract_saddle_csv(history_path: Path) -> list[tuple[str, str]]:
+    """The iter and saddle_distance cells of a run's history.csv, verbatim."""
+    if history_path.is_file():
+        with open(history_path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if "saddle_distance" in (reader.fieldnames or ()):
+                return [(row["iter"], row["saddle_distance"]) for row in reader]
+    raise ConfigError(f"{_key(RunConfig, 'run_dir')}: {history_path} is missing or has no "
+                      "saddle_distance column; run solve with the saddle.* reference paths")
 
 
 def cmd_diagnose(cfg: RunConfig) -> int:
@@ -465,6 +463,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     H = _hamiltonian(cfg)
     n = H.shape[0]
     P = _load_square(_key(RunConfig, "run_dir"), p_path, n)
+    saddle = None if cfg.saddle_paths is None else _extract_saddle_csv(cfg.run_dir / "history.csv")
     out = cfg.out_dir if cfg.out_dir is not None else cfg.run_dir
     out.mkdir(parents=True, exist_ok=True)
 
@@ -481,8 +480,8 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     ritz, exact = ritz_compare(P, H, k, p_eig=p_eig, h_eig=h_eig)
     write_csv(out / "ritz.csv", ("index", "eig_PH", "eig_H"), zip(range(1, k + 1), ritz, exact))
 
-    if cfg.saddle_paths is not None:
-        _extract_saddle_csv(cfg.run_dir / "history.csv", out / "saddle.csv")
+    if saddle is not None:
+        write_csv(out / "saddle.csv", ("iter", "saddle_distance"), saddle)
     return 0
 
 

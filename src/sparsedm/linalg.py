@@ -9,9 +9,10 @@ preserve the exact symmetry of symmetric input: entrywise and diagonal
 maps do so by construction, and ``spectral_clamp``, whose matrix product
 does not, ends with the symmetrization ``(A + A.T) / 2``, which is
 bitwise symmetric under IEEE arithmetic. That holds on both of its
-paths: from the full ``sym_eig`` and from the certified low-rank pairs of
-``warm_positive_eig``. Downstream code may therefore rely on
-``A[i, j] == A[j, i]`` exactly for outputs of symmetric input.
+paths, the full ``sym_eig`` and the certified low-rank pairs of
+``warm_positive_eig``, between which ``clamp_eig`` picks. Downstream code
+may therefore rely on ``A[i, j] == A[j, i]`` exactly for outputs of
+symmetric input.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ __all__ = [
     "EigenSolverError",
     "MatrixFormatError",
     "SpectralDecomposition",
+    "WarmStart",
+    "clamp_eig",
     "entrywise_l1",
     "fro_norm",
     "read_matrix",
@@ -47,6 +50,9 @@ SYMMETRY_RTOL = 1e-12
 # allowed relative to max(1, ||A||_F).
 FILTER_DEGREE = 16
 WARM_RTOL = 1e-10
+# clamp_eig: basis columns kept past the positive ones, and the longest wait.
+CLAMP_MARGIN = 8
+MAX_WAIT = 64
 
 # read_matrix hands numpy's text reader this many rows at a time.
 CHUNK_ROWS = 64
@@ -72,6 +78,14 @@ class SpectralDecomposition(NamedTuple):
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+
+class WarmStart(NamedTuple):
+    """What one ``clamp_eig`` call hands the next; WarmStart() skips the first."""
+
+    basis: np.ndarray | None = None  # the block warm_positive_eig starts from
+    misses: int = 0  # due calls in a row with no certified warm result
+    wait: int = 1  # calls left to skip before one is due
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -167,13 +181,9 @@ def warm_positive_eig(a: np.ndarray, basis: np.ndarray) -> SpectralDecomposition
         factor: then x^T A x < 0 for every x orthogonal to U+, so no
         positive eigenvalue lies outside span U+ (Sylvester's law of inertia).
     As the clamp is nonexpansive, clipping Theta+ into [0, 1] then gives the
-    exact clamp of a to within sqrt(2) times that residual. A basis wider
-    than n / 3 is refused at once, since eigh is then about as cheap.
+    exact clamp of a to within sqrt(2) times that residual.
     Returns all k Ritz pairs, ascending, so the caller can keep a margin.
     """
-    n, k = basis.shape
-    if k > n / 3:
-        return None
     scale = max(1.0, fro_norm(a))
     diag = np.diag(a)
     lo = float(np.min(diag - (np.abs(a).sum(axis=1) - np.abs(diag))))  # Gershgorin
@@ -204,6 +214,32 @@ def warm_positive_eig(a: np.ndarray, basis: np.ndarray) -> SpectralDecomposition
     except np.linalg.LinAlgError:
         return None
     return SpectralDecomposition(theta, u)
+
+
+def clamp_eig(a: np.ndarray, warm: WarmStart) -> tuple[SpectralDecomposition, WarmStart]:
+    """Eigenpairs of symmetric a for ``spectral_clamp(a, eig)``, and the
+    next call's warm start.
+
+    A due call tries ``warm_positive_eig``: a certified result resets the
+    misses; no basis or a failed certificate is the m-th miss, and the next
+    min(2^(m-1), MAX_WAIT) calls skip. Other calls run ``sym_eig``. The next
+    basis is the positive eigen- or Ritz vectors plus CLAMP_MARGIN more,
+    or None past n / 3 columns, where eigh costs about as much.
+    """
+    basis, misses, wait = warm
+    eig = None
+    if wait:
+        wait -= 1
+    elif basis is not None and (eig := warm_positive_eig(a, basis)) is not None:
+        misses = 0
+    else:
+        misses += 1
+        wait = min(2 ** (misses - 1), MAX_WAIT)
+    eig = sym_eig(a) if eig is None else eig
+    # A warm result has only the old basis's columns.
+    width = min(np.count_nonzero(eig.eigenvalues > 0) + CLAMP_MARGIN, eig.eigenvalues.size)
+    basis = eig.eigenvectors[:, -width:].copy() if width <= a.shape[0] / 3 else None
+    return eig, WarmStart(basis, misses, wait)
 
 
 def fro_norm(a: np.ndarray) -> float:

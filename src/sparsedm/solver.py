@@ -25,6 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
+    WarmStart,
+    clamp_eig,
     entrywise_l1,
     fro_norm,
     require_symmetric,
@@ -34,7 +36,6 @@ from .linalg import (
     symmetrize,
     trace_product,
     trace_shift_project,
-    warm_positive_eig,
     write_csv,
 )
 
@@ -57,12 +58,6 @@ __all__ = [
 
 # Tolerance for accepting a user-supplied starting point as feasible.
 INITIAL_FEAS_TOL = 1e-8
-
-# The clamp's warm basis holds the positive eigenvectors plus this many more.
-CLAMP_MARGIN = 8
-# After the m-th warm clamp failure in a row, the next min(2^(m-1), MAX_WAIT)
-# steps go straight to eigh.
-MAX_WAIT = 64
 
 
 @dataclass(frozen=True)
@@ -109,14 +104,8 @@ class SolverParams:
 
 @dataclass
 class SolverState:
-    """The five iterate matrices, the iteration counter and the clamp's warm start.
-
-    basis holds the top eigen- or Ritz vectors of the last P + d: the
-    positive ones plus CLAMP_MARGIN more, or None when those are more than
-    n / 3, which ``warm_positive_eig`` refuses. misses counts the warm clamp
-    failures in a row, such a refusal included, and the next warm attempt
-    waits until iteration reaches retry.
-    """
+    """The five iterate matrices, the iteration counter and the clamp's
+    warm start, which ``clamp_eig`` returned for the last P + d."""
 
     P: np.ndarray
     Q: np.ndarray
@@ -124,9 +113,7 @@ class SolverState:
     b: np.ndarray
     d: np.ndarray
     iteration: int = 0
-    basis: np.ndarray | None = None
-    misses: int = 0
-    retry: int = 0
+    warm: WarmStart = WarmStart()
 
 
 class SaddlePoint(NamedTuple):
@@ -199,12 +186,14 @@ def feasibility(P: np.ndarray, n_occ: float) -> FeasibilityReport:
 def check_initial(initial, n: int, n_occ: float) -> np.ndarray:
     """Validate a starting point and return its symmetrized copy.
 
-    It must be n x n and feasible within INITIAL_FEAS_TOL; the violated
-    constraint is named in the rejection.
+    It must be n x n, finite, and feasible within INITIAL_FEAS_TOL; the
+    violated constraint is named in the rejection.
     """
     start = np.asarray(initial, dtype=float)
     if start.shape != (n, n):
         raise ValueError(f"initial matrix has shape {start.shape}, expected {(n, n)}")
+    if not np.all(np.isfinite(start)):
+        raise ValueError("initial matrix contains non-finite entries")
     rep = feasibility(start, n_occ)
     if rep.asymmetry > INITIAL_FEAS_TOL:
         raise ValueError(f"initial matrix is not symmetric (||P - P.T|| = {rep.asymmetry:.3e})")
@@ -240,45 +229,19 @@ def init_state(
 
 
 def step(state: SolverState, H: np.ndarray, params: SolverParams) -> SolverState:
-    """One full sweep of the five updates; returns a fresh state.
-
-    The clamp first tries ``warm_positive_eig`` from the state's basis and
-    falls back to the full ``sym_eig``, whose result is then bitwise the
-    dense ``spectral_clamp``. Failed warm attempts back off as MAX_WAIT
-    describes. The iterates stay exactly symmetric when H and the state are.
-    """
+    """One sweep of the five updates into a fresh state; the clamp's
+    eigenpairs come from ``clamp_eig``. The iterates stay exactly symmetric
+    when H and the state are."""
     lam, r = params.lam, params.r
-    k = state.iteration + 1
     # The projection's argument B is left unnamed, so it is freed before the clamp.
     P = trace_shift_project(
         (lam * (state.Q - state.b) + r * (state.R - state.d) - H) / (lam + r), params.n_occ)
     Pb, Pd = P + state.b, P + state.d
     Q = soft_threshold(Pb, params.shrink_threshold)
-    eig, misses, retry = None, state.misses, state.retry
-    if state.basis is not None and state.iteration >= retry:
-        eig = warm_positive_eig(Pd, state.basis)
-        if eig is None:
-            misses += 1
-            retry = k + min(2 ** (misses - 1), MAX_WAIT)
-        else:
-            misses = 0
-    if eig is None:
-        eig = sym_eig(Pd)
+    eig, warm = clamp_eig(Pd, state.warm)
     R = spectral_clamp(Pd, eig)
-    # The stored slice's width: a warm result has only the old basis's columns.
-    width = min(np.count_nonzero(eig.eigenvalues > 0) + CLAMP_MARGIN, eig.eigenvalues.size)
-    if width > Pd.shape[0] / 3:
-        # warm_positive_eig would refuse this basis: count the refusal as the
-        # next step's miss now, and store nothing.
-        basis = None
-        if k >= retry:
-            misses += 1
-            retry = k + 1 + min(2 ** (misses - 1), MAX_WAIT)
-    else:
-        basis = eig.eigenvectors[:, -width:].copy()
     del eig  # a dense step's n x n eigenvectors go before b and d are formed
-    return SolverState(P=P, Q=Q, R=R, b=Pb - Q, d=Pd - R, iteration=k,
-                       basis=basis, misses=misses, retry=retry)
+    return SolverState(P=P, Q=Q, R=R, b=Pb - Q, d=Pd - R, iteration=state.iteration + 1, warm=warm)
 
 
 def saddle_distance(state: SolverState, ref: SaddlePoint, lam: float, r: float) -> float:

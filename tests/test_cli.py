@@ -551,6 +551,19 @@ def test_diagnose_without_recorded_saddle_errors(ex2_files, capsys):
     assert "saddle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("history", [None, "iter,objective\n1,0.5\n"], ids=["missing", "no-column"])
+def test_diagnose_without_saddle_history_fails_before_any_output(ex2_files, capsys, history):
+    run = ex2_files / "run"
+    run.mkdir()
+    write_matrix(run / "P.mat", np.diag([1.0, 0.0, 0.0]))
+    if history is not None:
+        (run / "history.csv").write_text(history)
+    cfg = write_cfg(ex2_files / "d.cfg", diag_cfg_text(ex2_files, run, with_saddle=True))
+    assert main(["diagnose", "--config", cfg]) == 1
+    assert "error: run.dir" in capsys.readouterr().err
+    assert sorted(path.name for path in run.glob("*.csv")) == ["history.csv"] * (history is not None)
+
+
 SUMMARY_HEADER = ("converged,iterations,objective,residual_Q,residual_R,delta_P,"
                   "asymmetry,trace_error,eig_below,eig_above")
 CSV_HEADERS = {

@@ -3,11 +3,16 @@ import re
 import numpy as np
 import pytest
 
+from sparsedm import linalg
 from sparsedm.linalg import (
+    CLAMP_MARGIN,
+    MAX_WAIT,
     WARM_RTOL,
     AsymmetricMatrixError,
     MatrixFormatError,
     SpectralDecomposition,
+    WarmStart,
+    clamp_eig,
     entrywise_l1,
     fro_norm,
     read_matrix,
@@ -375,11 +380,63 @@ def test_warm_basis_missing_a_positive_eigenvector_fails_certificate():
     assert np.array_equal(spectral_clamp(a, sym_eig(a)), spectral_clamp(a))
 
 
-def test_warm_basis_wider_than_a_third_goes_dense():
-    n, p = 60, 4
-    a, q = few_positive(np.random.default_rng(14), n, p)
-    assert warm_positive_eig(a, q[:, -n // 3:]) is not None
-    assert warm_positive_eig(a, q[:, -(n // 3 + 1):]) is None
+def test_warm_basis_wider_than_a_third_goes_dense(monkeypatch):
+    # At n = 60, p positive eigenvalues keep p + CLAMP_MARGIN columns, up to n / 3.
+    n = 60
+    rng = np.random.default_rng(14)
+    narrow, _ = few_positive(rng, n, n // 3 - CLAMP_MARGIN)
+    wide, _ = few_positive(rng, n, n // 3 - CLAMP_MARGIN + 1)
+    _, warm = clamp_eig(narrow, WarmStart())
+    assert warm.basis.shape == (n, n // 3)
+    eig, warm = clamp_eig(narrow, warm)
+    assert eig.eigenvalues.size == n // 3 and warm.basis.shape == (n, n // 3)
+    assert (warm.misses, warm.wait) == (0, 0)
+
+    _, warm = clamp_eig(wide, WarmStart())
+    assert warm.basis is None and (warm.misses, warm.wait) == (0, 0)
+    # The next call is due but has no basis: it runs eigh and counts a miss.
+    calls = []
+    monkeypatch.setattr(linalg, "sym_eig", lambda a: calls.append(a) or sym_eig(a))
+    eig, warm = clamp_eig(wide, warm)
+    assert len(calls) == 1 and eig.eigenvalues.size == n
+    assert warm.basis is None and (warm.misses, warm.wait) == (1, 1)
+
+
+def test_clamp_eig_backs_off_while_the_warm_path_fails(monkeypatch):
+    a, _ = few_positive(np.random.default_rng(15), 60, 3)
+    attempts = []
+    monkeypatch.setattr(linalg, "warm_positive_eig", lambda a, basis: attempts.append(basis))
+    warm, due, waits = WarmStart(), [], []
+    for call in range(400):
+        tried = len(attempts)
+        eig, warm = clamp_eig(a, warm)
+        assert eig.eigenvalues.size == a.shape[0] and warm.basis.shape == (60, 3 + CLAMP_MARGIN)
+        if len(attempts) > tried:
+            due.append(call)
+            waits.append(warm.wait)
+            assert warm.misses == len(due)
+    # Due calls wait 1, 2, 4, ... calls, up to MAX_WAIT; the first call skips.
+    assert waits == [1, 2, 4, 8, 16, 32] + [MAX_WAIT] * 6
+    assert due[0] == 1
+    assert np.diff(due).tolist() == [w + 1 for w in waits[:-1]]
+
+
+def test_clamp_eig_success_resets_misses():
+    a, q = few_positive(np.random.default_rng(16), 60, 3)
+    basis = q[:, -(3 + CLAMP_MARGIN):]
+    eig, warm = clamp_eig(a, WarmStart(basis, misses=5, wait=0))
+    assert eig.eigenvalues.size == basis.shape[1]
+    assert warm.basis.shape == basis.shape and (warm.misses, warm.wait) == (0, 0)
+
+
+def test_fresh_warm_start_skips_its_first_call(monkeypatch):
+    a, q = few_positive(np.random.default_rng(17), 60, 3)
+    monkeypatch.setattr(linalg, "warm_positive_eig", lambda a, basis: pytest.fail("warm path tried"))
+    # Even given a basis, the first call runs eigh and counts no miss.
+    for first in (WarmStart(), WarmStart(basis=q[:, -(3 + CLAMP_MARGIN):])):
+        eig, warm = clamp_eig(a, first)
+        assert np.array_equal(spectral_clamp(a, eig), spectral_clamp(a))
+        assert (warm.misses, warm.wait) == (0, 0)
 
 
 def test_sym_eig_reconstructs():

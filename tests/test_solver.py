@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sparsedm import solver
+from sparsedm import linalg
 from sparsedm.diagnostics import exact_density_matrix
 from sparsedm.hamiltonian import Grid1D, HamiltonianSpec, build_kronig_penney, build_laplacian_1d
 from sparsedm.linalg import WARM_RTOL, fro_norm, soft_threshold, spectral_clamp, trace_shift_project
@@ -11,6 +11,7 @@ from sparsedm.solver import (
     IterationRecord,
     SolverParams,
     SolverState,
+    check_initial,
     feasibility,
     init_state,
     objective,
@@ -81,6 +82,26 @@ def test_init_rejects_infeasible_start():
         init_state(h, params, initial=np.diag([2.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="shape"):
         init_state(h, params, initial=np.eye(3) * (2 / 3))
+
+
+def non_finite_starts():
+    """n = 4, N = 2 starts that a NaN or an inf makes look feasible or fail late."""
+    nan_pair = 0.5 * np.eye(4)
+    nan_pair[0, 1] = nan_pair[1, 0] = math.nan
+    return {
+        "nan_pair": nan_pair,
+        "inf_diagonal": np.diag([math.inf, -math.inf, 1.0, 1.0]),
+        "all_nan": np.full((4, 4), math.nan),
+    }
+
+
+@pytest.mark.parametrize("name", ["nan_pair", "inf_diagonal", "all_nan"])
+def test_non_finite_start_is_rejected(name):
+    start = non_finite_starts()[name]
+    with pytest.raises(ValueError, match="non-finite"):
+        check_initial(start, 4, 2)
+    with pytest.raises(ValueError, match="non-finite"):
+        solve(np.zeros((4, 4)), SolverParams(mu=1.0, n_occ=2, max_iter=5), initial=start)
 
 
 def test_known_fixed_point_is_stationary():
@@ -259,7 +280,7 @@ CHAIN_PARAMS = SolverParams(mu=100.0, n_occ=5, lam=10.0, r=10.0, tol=1e-6, max_i
 def dense_solve(monkeypatch):
     """solve with every warm clamp failing, so every step runs eigh."""
     with monkeypatch.context() as m:
-        m.setattr(solver, "warm_positive_eig", lambda a, basis: None)
+        m.setattr(linalg, "warm_positive_eig", lambda a, basis: None)
         return solve(CHAIN_H, CHAIN_PARAMS)
 
 
@@ -270,11 +291,12 @@ def test_most_chain_steps_take_the_warm_clamp(monkeypatch):
         calls.append(a.shape)
         return sym_eig(a)
 
-    sym_eig = solver.sym_eig
-    monkeypatch.setattr(solver, "sym_eig", counting_eig)
+    sym_eig = linalg.sym_eig
+    monkeypatch.setattr(linalg, "sym_eig", counting_eig)
     res = solve(CHAIN_H, CHAIN_PARAMS)
     assert res.converged
-    assert len(calls) < res.iterations / 2
+    # The first steps, with half the spectrum positive, run eigh.
+    assert 1 <= len(calls) < res.iterations / 2
 
 
 def test_failing_warm_clamp_reproduces_dense_iterates_bitwise(monkeypatch):
@@ -304,19 +326,16 @@ def test_warm_solve_matches_dense_solve(monkeypatch):
 
 
 def test_clamp_basis_wider_than_a_third_is_not_stored(monkeypatch):
-    # The first P + d has 57 of 96 eigenvalues positive. A step that sees
-    # such a spectrum stores no basis, which warm_positive_eig would refuse,
-    # and books that refusal as a miss on the back-off schedule.
+    # The first P + d has 57 of 96 eigenvalues positive; the steps that see
+    # such a spectrum store no basis. clamp_eig's own tests cover the rule.
     state = init_state(CHAIN_H, CHAIN_PARAMS)
-    booked = []
     for _ in range(3):
         state = step(state, CHAIN_H, CHAIN_PARAMS)
-        booked.append((state.basis is None, state.misses, state.retry))
-    assert booked == [(True, 1, 3), (True, 1, 3), (True, 2, 6)]
+        assert state.warm.basis is None
 
     widths = []
-    warm = solver.warm_positive_eig
-    monkeypatch.setattr(solver, "warm_positive_eig",
+    warm = linalg.warm_positive_eig
+    monkeypatch.setattr(linalg, "warm_positive_eig",
                         lambda a, basis: widths.append(basis.shape[1]) or warm(a, basis))
     assert solve(CHAIN_H, CHAIN_PARAMS).converged
     assert widths and max(widths) <= CHAIN_H.shape[0] / 3

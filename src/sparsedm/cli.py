@@ -50,8 +50,9 @@ from .solver import (
     SaddlePoint,
     SolverParams,
     SolverResult,
-    check_initial,
+    SolverState,
     feasibility,
+    init_state,
     solve,
     write_history_csv,
 )
@@ -272,16 +273,18 @@ def _load_square(key: str, path: Path, n: int) -> np.ndarray:
     return a
 
 
-def _start_inputs(cfg: RunConfig, H: np.ndarray) -> tuple[np.ndarray | None, SaddlePoint | None]:
-    """The initial matrix and the saddle reference, loaded and checked once
-    per command, before any output is made."""
+def _start_inputs(cfg: RunConfig, H: np.ndarray) -> tuple[SolverState | None, SaddlePoint | None]:
+    """The start state built from the initial matrix, and the saddle
+    reference, loaded and checked once per command, before any output is
+    made. Every run starts from that one state (they share n_occ), so no
+    solve checks the initial matrix again."""
     n = H.shape[0]
-    initial = saddle = None
+    start = saddle = None
     if cfg.initial_path is not None:
         key = _key(RunConfig, "initial_path")
         initial = _load_square(key, cfg.initial_path, n)
         try:
-            check_initial(initial, n, cfg.runs[0].n_occ)
+            start = init_state(H, cfg.runs[0], initial)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from None
     if cfg.saddle_paths is not None:
@@ -289,7 +292,7 @@ def _start_inputs(cfg: RunConfig, H: np.ndarray) -> tuple[np.ndarray | None, Sad
             _load_square(_key(SaddlePoint, field), path, n)
             for field, path in zip(SaddlePoint._fields, cfg.saddle_paths)
         ))
-    return initial, saddle
+    return start, saddle
 
 
 def _require_out(cfg: RunConfig) -> Path:
@@ -309,9 +312,9 @@ def _write_summary(path: Path, result: SolverResult, n_occ: float) -> None:
 
 
 def _run_one(H: np.ndarray, params: SolverParams, out: Path,
-             initial: np.ndarray | None, saddle: SaddlePoint | None) -> SolverResult:
+             start: SolverState | None, saddle: SaddlePoint | None) -> SolverResult:
     """Solve one run and write the standard run artifacts into out."""
-    result = solve(H, params, initial=initial, saddle_ref=saddle)
+    result = solve(H, params, initial=start, saddle_ref=saddle)
     out.mkdir(parents=True, exist_ok=True)
     write_matrix(out / "P.mat", result.P)
     write_matrix(out / "Q.mat", result.Q)
@@ -327,9 +330,9 @@ def cmd_solve(cfg: RunConfig) -> int:
             f"{_key(SolverParams, 'mu')}: solve takes a single value, got {len(cfg.runs)}"
         )
     H = _hamiltonian(cfg)
-    initial, saddle = _start_inputs(cfg, H)
+    start, saddle = _start_inputs(cfg, H)
     out = _require_out(cfg)
-    result = _run_one(H, cfg.runs[0], out, initial, saddle)
+    result = _run_one(H, cfg.runs[0], out, start, saddle)
     return 0 if result.converged else 2
 
 
@@ -399,13 +402,13 @@ def _sweep_workers(n_runs: int) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     H = _hamiltonian(cfg)
-    initial, saddle = _start_inputs(cfg, H)
+    start, saddle = _start_inputs(cfg, H)
     out = _require_out(cfg)
     workers = _sweep_workers(len(cfg.runs))
     h_eig = sym_eig(H)
 
     def run(params: SolverParams):
-        return _run_one(H, params, out / _run_dir_name(params.mu), initial, saddle)
+        return _run_one(H, params, out / _run_dir_name(params.mu), start, saddle)
 
     status = 0
     rows = []

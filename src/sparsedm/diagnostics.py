@@ -165,16 +165,20 @@ def ritz_compare(
     (n - rank) trivial zeros. Both outputs are sorted ascending.
 
     The surrogate is solved in P's eigenbasis, P = V diag(f) V^T, over the
-    occupied set O = {j : f_j > 0}: with S = diag(sqrt(f_O)), the eigenpairs
-    (s, z) of S V_O^T H V_O S give the surrogate's eigenvectors V_O z with
-    weight f_O . z^2. Each column j outside O spans an exact zero row and
-    column of the surrogate, so it is an eigenvector of value 0 and weight f_j.
+    occupied set O = {j : f_j > n eps max(f)}: with S = diag(sqrt(f_O)), the
+    eigenpairs (s, z) of S V_O^T H V_O S give the surrogate's eigenvectors
+    V_O z with weight f_O . z^2. Each column j outside O is taken as an
+    eigenvector of value 0 and weight f_j. For f_j <= 0 that is exact, as
+    its row and column of the surrogate are zero; the f_j up to
+    n eps max(f) are rounding noise of the decomposition, such as the null
+    space of a projector, and leaving them out moves the result by about
+    as much.
     """
     n = H.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     f, v = _eig(P, p_eig)
-    occ = f > 0.0
+    occ = f > n * np.finfo(float).eps * max(float(f.max()), 0.0)
     f_occ, v_occ = f[occ], v[:, occ]
     root = np.sqrt(f_occ)
     s_occ, z = sym_eig(symmetrize(root[:, None] * (v_occ.T @ (H @ v_occ)) * root))

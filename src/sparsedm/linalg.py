@@ -13,6 +13,11 @@ paths, the full ``sym_eig`` and the certified low-rank pairs of
 ``warm_positive_eig``, between which ``clamp_eig`` picks. Downstream code
 may therefore rely on ``A[i, j] == A[j, i]`` exactly for outputs of
 symmetric input.
+
+The low-rank path pays only for the certainty the spectrum needs: its
+filter interval comes from the last dense spectrum, and its inertia
+certificate is a Cholesky factor only when Weyl's inequality against the
+last factorized one (the ``Anchor``) does not already prove it.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 __all__ = [
+    "Anchor",
     "AsymmetricMatrixError",
     "EigenSolverError",
     "MatrixFormatError",
@@ -48,11 +54,15 @@ SYMMETRY_RTOL = 1e-12
 
 # warm_positive_eig: degree of its Chebyshev filter, and the Ritz residual
 # allowed relative to max(1, ||A||_F).
-FILTER_DEGREE = 16
+FILTER_DEGREE = 12
 WARM_RTOL = 1e-10
-# clamp_eig: basis columns kept past the positive ones, and the longest wait.
+# clamp_eig: basis columns kept past the positive ones, the longest wait, and
+# the factor that widens the last dense spectrum's lowest eigenvalue into the
+# filter's lower end, which then holds for the warm calls until the next
+# dense one.
 CLAMP_MARGIN = 8
 MAX_WAIT = 64
+LO_WIDEN = 1.05
 
 # read_matrix hands numpy's text reader this many rows at a time.
 CHUNK_ROWS = 64
@@ -80,12 +90,26 @@ class SpectralDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
+class Anchor(NamedTuple):
+    """A factorized inertia certificate: m, an earlier S less delta I, has a
+    Cholesky factor, so lambda_min(m + delta I) >= delta > 0."""
+
+    m: np.ndarray
+    delta: float
+
+
 class WarmStart(NamedTuple):
     """What one ``clamp_eig`` call hands the next; WarmStart() skips the first."""
 
     basis: np.ndarray | None = None  # the block warm_positive_eig starts from
     misses: int = 0  # due calls in a row with no certified warm result
     wait: int = 1  # calls left to skip before one is due
+    # From the last dense spectrum: its lowest eigenvalue widened by LO_WIDEN,
+    # the filter's lower end, and its largest non-positive eigenvalue; 0
+    # before the first dense call.
+    lo: float = 0.0
+    hi: float = 0.0
+    anchor: Anchor | None = None  # the last factorized certificate
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -161,32 +185,52 @@ def spectral_clamp(a: np.ndarray, eig: SpectralDecomposition | None = None) -> n
 
     eig, when given, replaces ``sym_eig(a)``: either that full decomposition,
     which gives bitwise the same result, or the pairs of ``warm_positive_eig``.
+    The product runs over the positive pairs only; the others clip to 0.
     """
     w, v = sym_eig(a) if eig is None else eig
-    return symmetrize((v * np.clip(w, 0.0, 1.0)) @ v.T)
+    pos = w > 0.0
+    v = v[:, pos]
+    return symmetrize((v * np.minimum(w[pos], 1.0)) @ v.T)
 
 
-def warm_positive_eig(a: np.ndarray, basis: np.ndarray) -> SpectralDecomposition | None:
+def warm_positive_eig(
+    a: np.ndarray, basis: np.ndarray, lo: float, hi: float, anchor: Anchor | None = None
+) -> tuple[SpectralDecomposition, Anchor | None] | None:
     """Ritz pairs of symmetric a that provably hold all its positive
-    eigenpairs, computed from a warm basis; None when that cannot be proved.
+    eigenpairs, computed from a warm basis, and the anchor to pass to the
+    next call; None when that cannot be proved.
 
     The n x k orthonormal basis, typically last step's top eigenvectors,
     goes through a Chebyshev filter of degree FILTER_DEGREE that damps the
-    interval [lo, 0], lo the Gershgorin lower bound of the spectrum (Zhou,
-    Saad, Tiago & Chelikowsky 2006), then a QR and a Rayleigh-Ritz step.
-    With U+, Theta+ the Ritz pairs whose value is positive, the result is
-    accepted only if
+    interval [lo, 0] (Zhou, Saad, Tiago & Chelikowsky 2006), then a QR and a
+    Rayleigh-Ritz step. lo < 0 should lie at or below the spectrum and
+    hi <= 0 at about its largest non-positive eigenvalue; ``clamp_eig``
+    takes both from the last dense spectrum. Values that are off cost a
+    refusal or a factorization, never a wrong result. With U+, Theta+ the
+    Ritz pairs whose value is positive, the result is accepted only if
       - ||A U+ - U+ Theta+||_F <= WARM_RTOL * max(1, ||A||_F), and
-      - S = U+ (Theta+ + c I) U+^T - A, c = max(1, ||A||_F), has a Cholesky
-        factor: then x^T A x < 0 for every x orthogonal to U+, so no
-        positive eigenvalue lies outside span U+ (Sylvester's law of inertia).
+      - S = U+ (Theta+ + I) U+^T - A is positive definite: then
+        x^T A x < 0 for every x orthogonal to U+, so no positive eigenvalue
+        lies outside span U+ (Sylvester's law of inertia).
+    S is about I on span U+ and about -A on its complement. It is proved
+    positive definite in one of two ways:
+      - by the anchor, with no factorization, when
+        ||S - anchor.delta I - anchor.m||_F < anchor.delta: by Weyl's
+        inequality lambda_min(S) >= anchor.delta - ||S - anchor.delta I -
+        anchor.m||_2 > 0, as anchor.m is positive definite;
+      - else by a Cholesky factor of S - delta I, which proves
+        lambda_min(S) >= delta and makes (S - delta I, delta) the returned
+        anchor. delta is first half the distance from 0 of the larger of hi
+        and the largest non-positive Ritz value, capped at 1/2, then a
+        quarter of that. The Ritz value overstates that distance when the
+        margin columns have not converged, and hi when the spectrum has
+        moved toward 0 since. If both shifts fail, a Cholesky factor of S
+        itself proves it, and the old anchor is returned.
     As the clamp is nonexpansive, clipping Theta+ into [0, 1] then gives the
-    exact clamp of a to within sqrt(2) times that residual.
+    exact clamp of a to within sqrt(2) times the residual.
     Returns all k Ritz pairs, ascending, so the caller can keep a margin.
     """
     scale = max(1.0, fro_norm(a))
-    diag = np.diag(a)
-    lo = float(np.min(diag - (np.abs(a).sum(axis=1) - np.abs(diag))))  # Gershgorin
     if not (np.isfinite(scale) and lo < 0.0):
         return None
     # Scaled three-term recurrence, y = T_m((A - c) / e) basis / T_m((scale - c) / e);
@@ -207,13 +251,34 @@ def warm_positive_eig(a: np.ndarray, basis: np.ndarray) -> SpectralDecomposition
     u_pos, theta_pos = u[:, pos], theta[pos]
     if not fro_norm((aq @ w)[:, pos] - u_pos * theta_pos) <= WARM_RTOL * scale:
         return None
-    s = (u_pos * (theta_pos + scale)) @ u_pos.T
+    eig = SpectralDecomposition(theta, u)
+    s = (u_pos * (theta_pos + 1.0)) @ u_pos.T
     s -= a
+    stride = s.shape[0] + 1  # of the diagonal in s.flat
+    if anchor is not None:
+        gap = s - anchor.m
+        gap.flat[::stride] -= anchor.delta
+        if fro_norm(gap) < anchor.delta:
+            return eig, anchor
+        del gap  # freed before a factor allocates its own n x n
+    delta = min(-theta[~pos].max(initial=hi), 1.0) / 2
+    # s is shifted in place, so a factorization holds no copy of it.
+    applied = 0.0
+    for shift in ((delta, delta / 4) if delta > 0.0 else ()) + (0.0,):
+        s.flat[::stride] -= shift - applied
+        applied = shift
+        if _has_cholesky(s):
+            return eig, Anchor(s, shift) if shift else anchor
+    return None
+
+
+def _has_cholesky(s: np.ndarray) -> bool:
+    """Whether symmetric s has a Cholesky factor."""
     try:
         np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
-        return None
-    return SpectralDecomposition(theta, u)
+        return False
+    return True
 
 
 def clamp_eig(a: np.ndarray, warm: WarmStart) -> tuple[SpectralDecomposition, WarmStart]:
@@ -222,24 +287,33 @@ def clamp_eig(a: np.ndarray, warm: WarmStart) -> tuple[SpectralDecomposition, Wa
 
     A due call tries ``warm_positive_eig``: a certified result resets the
     misses; no basis or a failed certificate is the m-th miss, and the next
-    min(2^(m-1), MAX_WAIT) calls skip. Other calls run ``sym_eig``. The next
-    basis is the positive eigen- or Ritz vectors plus CLAMP_MARGIN more,
-    or None past n / 3 columns, where eigh costs about as much.
+    min(2^(m-1), MAX_WAIT) calls skip. Other calls run ``sym_eig``, whose
+    smallest eigenvalue, widened by LO_WIDEN, and largest non-positive one
+    are the lo and hi of the warm calls until the next dense call; the
+    anchor passes from each warm call to the next. The next basis is the
+    positive eigen- or Ritz vectors plus CLAMP_MARGIN more, or None past
+    n / 3 columns, where eigh costs about as much.
     """
-    basis, misses, wait = warm
+    basis, misses, wait, lo, hi, anchor = warm
     eig = None
     if wait:
         wait -= 1
-    elif basis is not None and (eig := warm_positive_eig(a, basis)) is not None:
+    elif basis is not None and (found := warm_positive_eig(a, basis, lo, hi, anchor)) is not None:
+        eig, anchor = found
         misses = 0
     else:
         misses += 1
         wait = min(2 ** (misses - 1), MAX_WAIT)
-    eig = sym_eig(a) if eig is None else eig
+    if eig is None:
+        eig = sym_eig(a)
+        w = eig.eigenvalues
+        nonpos = w[w <= 0.0]
+        lo = LO_WIDEN * float(w[0])
+        hi = float(nonpos[-1]) if nonpos.size else 0.0
     # A warm result has only the old basis's columns.
     width = min(np.count_nonzero(eig.eigenvalues > 0) + CLAMP_MARGIN, eig.eigenvalues.size)
     basis = eig.eigenvectors[:, -width:].copy() if width <= a.shape[0] / 3 else None
-    return eig, WarmStart(basis, misses, wait)
+    return eig, WarmStart(basis, misses, wait, lo, hi, anchor)
 
 
 def fro_norm(a: np.ndarray) -> float:

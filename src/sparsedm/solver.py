@@ -139,6 +139,7 @@ class IterationRecord:
 @dataclass
 class SolverResult(SolverState):
     """The final SolverState with convergence status and sampled history.
+    Its warm start keeps no anchor.
 
     P is the primary solution (exactly trace-feasible); R is its
     spectrally feasible companion. At convergence they agree to tol.
@@ -261,7 +262,7 @@ def saddle_distance(state: SolverState, ref: SaddlePoint, lam: float, r: float) 
 def solve(
     H: np.ndarray,
     params: SolverParams,
-    initial: np.ndarray | None = None,
+    initial: np.ndarray | SolverState | None = None,
     saddle_ref: SaddlePoint | None = None,
 ) -> SolverResult:
     """Iterate until max(||P-Q||, ||P-R||, ||P_k - P_{k-1}||) <= tol * max(1, ||P||).
@@ -271,10 +272,17 @@ def solve(
     When saddle_ref is given, each record carries the saddle distance.
     Hitting max_iter returns converged=False rather than raising. H goes
     through ``require_symmetric``: it must be finite and symmetric within
-    its tolerance.
+    its tolerance. initial is a start matrix, which ``init_state`` checks,
+    or a SolverState to iterate from as it is, such as one ``init_state``
+    built and checked once for several solves.
     """
     H = require_symmetric(H, name="H")
-    state = init_state(H, params, initial)
+    if not isinstance(initial, SolverState):
+        state = init_state(H, params, initial)
+    elif initial.P.shape == H.shape:
+        state = initial
+    else:
+        raise ValueError(f"start state has shape {initial.P.shape}, expected {H.shape}")
     history: list[IterationRecord] = []
     converged = False
     for k in range(1, params.max_iter + 1):
@@ -302,6 +310,9 @@ def solve(
             ))
         if converged:
             break
+    # A result outlives the solve, so its warm start drops the anchor, an
+    # n x n matrix that only a next step could use.
+    state.warm = state.warm._replace(anchor=None)
     return SolverResult(**vars(state), converged=converged, history=history)
 
 

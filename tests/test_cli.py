@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsedm import cli, diagnostics
+from sparsedm import cli, diagnostics, solver
 from sparsedm.cli import ConfigError, load_config, main, parse_config_text
 from sparsedm.hamiltonian import Grid1D, build_laplacian_1d
 from sparsedm.linalg import read_matrix, write_matrix
@@ -328,6 +328,25 @@ def test_sweep_loads_start_matrices_once(ex2_files, monkeypatch):
     cfg = write_cfg(ex2_files / "c.cfg", text + f"initial.path = {ex2_files / 'P0.mat'}\n")
     assert main(["sweep", "--config", cfg]) == 0
     assert sorted(loaded) == ["P0.mat", "Ps.mat", "Qs.mat", "Rs.mat", "bs.mat", "ds.mat"]
+
+
+def test_sweep_checks_the_start_matrix_once(ex2_files, monkeypatch):
+    # Each feasibility report decomposes its matrix once: one for the start
+    # matrix, then one per run for its summary.
+    checked = []
+
+    def recording_eig(a):
+        checked.append(a.shape)
+        return sym_eig(a)
+
+    sym_eig = solver.sym_eig
+    monkeypatch.setattr(solver, "sym_eig", recording_eig)
+    write_matrix(ex2_files / "P0.mat", np.diag([1.0, 0.0, 0.0]))
+    text = solve_cfg_text(ex2_files, ex2_files / "out", extra="solver.max_iter = 5\n").replace(
+        "solver.mu = 1\n", "solver.mu = 1, 2, 4\n")
+    cfg = write_cfg(ex2_files / "c.cfg", text + f"initial.path = {ex2_files / 'P0.mat'}\n")
+    assert main(["sweep", "--config", cfg]) in (0, 2)
+    assert len(checked) == 1 + 3
 
 
 @pytest.fixture

@@ -240,6 +240,17 @@ def test_band_occupations_sum_to_trace():
     assert band_occupations(p, h).sum() == pytest.approx(5.0, abs=1e-9)
 
 
+def ritz_over_positive_occupations(f, w, h, k):
+    """ritz_compare with every f_j > 0 in its occupied set, rounding-level
+    occupations included."""
+    occ = f > 0.0
+    root = np.sqrt(f[occ])
+    s_occ, z = np.linalg.eigh(symmetrize(root[:, None] * (w[:, occ].T @ h @ w[:, occ]) * root))
+    s = np.concatenate([s_occ, np.zeros(f.size - s_occ.size)])
+    weight = np.concatenate([f[occ] @ z**2, f[~occ]])
+    return np.sort(s[np.argsort(-weight, kind="stable")[:k]])
+
+
 def test_band_weights_match_explicit_loop():
     rng = np.random.default_rng(64)
     n, k = 64, 9
@@ -267,6 +278,13 @@ def test_band_weights_match_explicit_loop():
         ritz, low = ritz_compare(p_case, h, k_case, p_eig=SpectralDecomposition(f, w))
         assert np.max(np.abs(ritz - np.sort(s[keep]))) <= 1e-12
         assert np.max(np.abs(low - np.linalg.eigvalsh(h)[:k_case])) <= 1e-12
+    # The projector's rounding-level occupations leave the occupied set;
+    # the result stays within 1e-12 relative of the one that keeps them.
+    assert np.count_nonzero(cases[1][1][0] > 0) > k
+    for p_case, (f, w), k_case in cases[1:]:
+        ref = ritz_over_positive_occupations(f, w, h, k_case)
+        ritz, _ = ritz_compare(p_case, h, k_case, p_eig=SpectralDecomposition(f, w))
+        assert np.max(np.abs(ritz - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_given_spectra_give_bitwise_the_same_results():

@@ -6,6 +6,7 @@ import pytest
 from sparsedm import linalg
 from sparsedm.linalg import (
     CLAMP_MARGIN,
+    LO_WIDEN,
     MAX_WAIT,
     WARM_RTOL,
     AsymmetricMatrixError,
@@ -338,6 +339,12 @@ def few_positive(rng, n, p):
     return symmetrize((q * w) @ q.T), q
 
 
+def dense_bounds(w):
+    """The filter's lower end and the largest non-positive eigenvalue that
+    clamp_eig keeps from the ascending spectrum w of a dense step."""
+    return LO_WIDEN * w[0], w[w <= 0][-1]
+
+
 def test_spectral_clamp_given_full_decomposition_is_bitwise_dense():
     a = random_symmetric(np.random.default_rng(12), 30, scale=2.0)
     assert np.array_equal(spectral_clamp(a, sym_eig(a)), spectral_clamp(a))
@@ -348,15 +355,17 @@ def test_spectral_clamp_given_full_decomposition_is_bitwise_dense():
 def test_warm_clamp_within_residual_bound_of_dense(n, p, eps):
     rng = np.random.default_rng(n)
     a, _ = few_positive(rng, n, p)
-    # The warm basis: the top eigenvectors of a perturbed copy of a. One
-    # filter pass gains about T_16 at the smallest positive eigenvalue over
-    # the Gershgorin interval, a few hundred here, so a 1e-8 perturbation
+    # The warm basis and the filter's lower end: the top eigenvectors and the
+    # widened lowest eigenvalue of a perturbed copy of a, as after a dense
+    # solver step. One filter pass gains about T_12 at the smallest positive
+    # eigenvalue over [lo, 0], a few hundred here, so a 1e-8 perturbation
     # (about a late solver step) is certified and 1e-4 need not be.
-    basis = sym_eig(a + eps * random_symmetric(rng, n)).eigenvectors[:, -(p + 8):]
-    eig = warm_positive_eig(a, basis)
-    if eps > 1e-8 and eig is None:
+    w, v = sym_eig(a + eps * random_symmetric(rng, n))
+    found = warm_positive_eig(a, v[:, -(p + 8):], *dense_bounds(w))
+    if eps > 1e-8 and found is None:
         return
-    assert eig is not None
+    assert found is not None
+    eig, _ = found
     theta, u = eig
     pos = theta > 0
     assert pos.sum() == p
@@ -375,9 +384,36 @@ def test_warm_basis_missing_a_positive_eigenvector_fails_certificate():
     # Exact eigenvectors, so the Ritz residual is tiny: the smallest positive
     # one (column n - p) is swapped for the next negative one.
     basis = np.delete(q, n - p, axis=1)[:, -(p + 8):]
-    assert warm_positive_eig(a, basis) is None
-    assert warm_positive_eig(a, q[:, -(p + 8):]) is not None
+    bounds = dense_bounds(sym_eig(a).eigenvalues)
+    assert warm_positive_eig(a, basis, *bounds) is None
+    assert warm_positive_eig(a, q[:, -(p + 8):], *bounds) is not None
     assert np.array_equal(spectral_clamp(a, sym_eig(a)), spectral_clamp(a))
+
+
+@pytest.mark.parametrize("lifted", ["margin", "outside"])
+def test_anchor_does_not_certify_a_lifted_eigenvalue(monkeypatch, lifted):
+    n, p = 90, 6
+    a, q = few_positive(np.random.default_rng(18), n, p)
+    basis, bounds = q[:, -(p + CLAMP_MARGIN):], dense_bounds(sym_eig(a).eigenvalues)
+    _, anchor = warm_positive_eig(a, basis, *bounds)
+    assert anchor is not None
+    factors = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(linalg.np.linalg, "cholesky", lambda s: factors.append(s) or cholesky(s))
+    # The same matrix is certified by the anchor alone.
+    again = warm_positive_eig(a, basis, *bounds, anchor)
+    assert again is not None and again[1] is anchor and not factors
+
+    # Lift one eigenvalue of the complement of U+ to 0.05: the largest
+    # non-positive one, which the basis holds as a margin column, or the
+    # lowest, which lies outside the basis.
+    j = n - p - 1 if lifted == "margin" else 0
+    v = q[:, j]
+    lifted_a = a + (0.05 - v @ a @ v) * np.outer(v, v)
+    found = warm_positive_eig(lifted_a, basis, *bounds, anchor)
+    assert found is None or np.count_nonzero(found[0].eigenvalues > 0) == p + 1
+    if found is not None:
+        assert fro_norm(spectral_clamp(lifted_a, found[0]) - spectral_clamp(lifted_a)) <= 1e-8
 
 
 def test_warm_basis_wider_than_a_third_goes_dense(monkeypatch):
@@ -405,7 +441,7 @@ def test_warm_basis_wider_than_a_third_goes_dense(monkeypatch):
 def test_clamp_eig_backs_off_while_the_warm_path_fails(monkeypatch):
     a, _ = few_positive(np.random.default_rng(15), 60, 3)
     attempts = []
-    monkeypatch.setattr(linalg, "warm_positive_eig", lambda a, basis: attempts.append(basis))
+    monkeypatch.setattr(linalg, "warm_positive_eig", lambda a, basis, *_: attempts.append(basis))
     warm, due, waits = WarmStart(), [], []
     for call in range(400):
         tried = len(attempts)
@@ -424,14 +460,15 @@ def test_clamp_eig_backs_off_while_the_warm_path_fails(monkeypatch):
 def test_clamp_eig_success_resets_misses():
     a, q = few_positive(np.random.default_rng(16), 60, 3)
     basis = q[:, -(3 + CLAMP_MARGIN):]
-    eig, warm = clamp_eig(a, WarmStart(basis, misses=5, wait=0))
+    lo, hi = dense_bounds(sym_eig(a).eigenvalues)
+    eig, warm = clamp_eig(a, WarmStart(basis, misses=5, wait=0, lo=lo, hi=hi))
     assert eig.eigenvalues.size == basis.shape[1]
     assert warm.basis.shape == basis.shape and (warm.misses, warm.wait) == (0, 0)
 
 
 def test_fresh_warm_start_skips_its_first_call(monkeypatch):
     a, q = few_positive(np.random.default_rng(17), 60, 3)
-    monkeypatch.setattr(linalg, "warm_positive_eig", lambda a, basis: pytest.fail("warm path tried"))
+    monkeypatch.setattr(linalg, "warm_positive_eig", lambda *_: pytest.fail("warm path tried"))
     # Even given a basis, the first call runs eigh and counts no miss.
     for first in (WarmStart(), WarmStart(basis=q[:, -(3 + CLAMP_MARGIN):])):
         eig, warm = clamp_eig(a, first)

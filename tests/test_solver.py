@@ -164,6 +164,18 @@ def test_result_is_the_final_state():
     assert res.iterations == res.iteration == 4
 
 
+def test_solve_from_a_start_state_matches_solve_from_its_matrix():
+    h, params = example2_h(), SolverParams(mu=1.0, n_occ=1, max_iter=30, tol=1e-12)
+    p0 = np.diag([1.0, 0.0, 0.0])
+    start = init_state(h, params, p0)
+    from_state, from_matrix = solve(h, params, initial=start), solve(h, params, initial=p0)
+    for name in ("P", "Q", "R", "b", "d"):
+        assert np.array_equal(getattr(from_state, name), getattr(from_matrix, name))
+    assert np.array_equal(start.P, p0) and start.iteration == 0  # the start is not changed
+    with pytest.raises(ValueError, match="shape"):
+        solve(h, params, initial=init_state(np.eye(4), params))
+
+
 def test_small_instance_reaches_known_minimum():
     h = example2_h()
     res = solve(h, SolverParams(mu=1.0, n_occ=1, tol=1e-8))
@@ -280,7 +292,7 @@ CHAIN_PARAMS = SolverParams(mu=100.0, n_occ=5, lam=10.0, r=10.0, tol=1e-6, max_i
 def dense_solve(monkeypatch):
     """solve with every warm clamp failing, so every step runs eigh."""
     with monkeypatch.context() as m:
-        m.setattr(linalg, "warm_positive_eig", lambda a, basis: None)
+        m.setattr(linalg, "warm_positive_eig", lambda *_: None)
         return solve(CHAIN_H, CHAIN_PARAMS)
 
 
@@ -336,6 +348,36 @@ def test_clamp_basis_wider_than_a_third_is_not_stored(monkeypatch):
     widths = []
     warm = linalg.warm_positive_eig
     monkeypatch.setattr(linalg, "warm_positive_eig",
-                        lambda a, basis: widths.append(basis.shape[1]) or warm(a, basis))
+                        lambda a, basis, *rest: widths.append(basis.shape[1]) or warm(a, basis, *rest))
     assert solve(CHAIN_H, CHAIN_PARAMS).converged
     assert widths and max(widths) <= CHAIN_H.shape[0] / 3
+
+
+def test_anchored_certificate_returns_the_factorized_pairs(monkeypatch):
+    # A solve's result keeps no anchor, so the converged state is stepped to here.
+    result = solve(CHAIN_H, CHAIN_PARAMS)
+    assert result.converged and result.warm.anchor is None
+    state = init_state(CHAIN_H, CHAIN_PARAMS)
+    for _ in range(result.iterations):
+        state = step(state, CHAIN_H, CHAIN_PARAMS)
+    assert np.array_equal(state.P, result.P)
+    a, warm = state.P + state.d, state.warm
+    assert warm.anchor is not None
+    factors = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(linalg.np.linalg, "cholesky", lambda s: factors.append(s) or cholesky(s))
+    anchored = linalg.warm_positive_eig(a, warm.basis, warm.lo, warm.hi, warm.anchor)
+    assert anchored is not None and anchored[1] is warm.anchor and not factors
+    factorized = linalg.warm_positive_eig(a, warm.basis, warm.lo, warm.hi)
+    assert factorized is not None and factors
+    for got, want in zip(anchored[0], factorized[0]):
+        assert np.array_equal(got, want)
+
+
+def test_chain_solve_factors_once_per_ten_warm_steps_at_most(monkeypatch):
+    factors, attempts = [], []
+    cholesky, warm = np.linalg.cholesky, linalg.warm_positive_eig
+    monkeypatch.setattr(linalg.np.linalg, "cholesky", lambda s: factors.append(s.shape) or cholesky(s))
+    monkeypatch.setattr(linalg, "warm_positive_eig", lambda *args: attempts.append(1) or warm(*args))
+    assert solve(CHAIN_H, CHAIN_PARAMS).converged
+    assert attempts and len(factors) <= len(attempts) / 10

@@ -57,9 +57,6 @@ from .solver import (
     write_history_csv,
 )
 
-THREADS_ENV = "SPARSEDM_SWEEP_THREADS"
-
-
 class ConfigError(Exception):
     """Invalid or missing configuration; the message names the config key."""
 
@@ -380,23 +377,12 @@ def _one_blas_thread():
 
 
 def _sweep_workers(n_runs: int) -> int:
-    """Pool size: SPARSEDM_SWEEP_THREADS, else the CPUs this process may run on.
-
-    Never more than n_runs, since each worker takes one mu value.
-    """
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        try:
-            threads = len(os.sched_getaffinity(0))
-        except AttributeError:  # no CPU affinity on this platform
-            threads = os.cpu_count() or 1
-    else:
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV}: expected an integer, got {raw!r}") from None
-        if threads < 1:
-            raise ConfigError(f"{THREADS_ENV} must be at least 1, got {threads}")
+    """Pool size: the CPUs this process may run on, never more than n_runs,
+    since each worker takes one mu value."""
+    try:
+        threads = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        threads = os.cpu_count() or 1
     return min(threads, n_runs)
 
 

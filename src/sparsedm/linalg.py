@@ -27,13 +27,11 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 __all__ = [
-    "Anchor",
     "AsymmetricMatrixError",
     "EigenSolverError",
     "MatrixFormatError",
     "SpectralDecomposition",
     "WarmStart",
-    "clamp_eig",
     "entrywise_l1",
     "fro_norm",
     "read_matrix",
@@ -44,7 +42,6 @@ __all__ = [
     "symmetrize",
     "trace_product",
     "trace_shift_project",
-    "warm_positive_eig",
     "write_csv",
     "write_matrix",
 ]

@@ -139,7 +139,7 @@ class IterationRecord:
 @dataclass
 class SolverResult(SolverState):
     """The final SolverState with convergence status and sampled history.
-    Its warm start keeps no anchor.
+    Its warm start is a fresh ``WarmStart()``: a result carries no clamp cache.
 
     P is the primary solution (exactly trace-feasible); R is its
     spectrally feasible companion. At convergence they agree to tol.
@@ -310,9 +310,9 @@ def solve(
             ))
         if converged:
             break
-    # A result outlives the solve, so its warm start drops the anchor, an
-    # n x n matrix that only a next step could use.
-    state.warm = state.warm._replace(anchor=None)
+    # A result outlives the solve, so it carries no clamp cache, which only a
+    # next step could use.
+    state.warm = WarmStart()
     return SolverResult(**vars(state), converged=converged, history=history)
 
 

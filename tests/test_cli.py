@@ -1,4 +1,5 @@
 import csv
+import os
 import re
 from pathlib import Path
 
@@ -221,6 +222,11 @@ def test_out_flag_overrides_config(ex2_files):
     assert not (ex2_files / "ignored").exists()
 
 
+def set_affinity(monkeypatch, cpus):
+    """Let the process run on `cpus` CPUs, as `taskset -c` would."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 def sweep_cfg_text(out, mus="10, 40", extra=""):
     return (
         f"hamiltonian.kind = free_laplacian\ngrid.length = 10\ngrid.n = 16\n"
@@ -230,7 +236,7 @@ def sweep_cfg_text(out, mus="10, 40", extra=""):
 
 
 def test_sweep_writes_per_mu_directories(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPARSEDM_SWEEP_THREADS", "2")
+    set_affinity(monkeypatch, 2)
     out = tmp_path / "sweep"
     cfg = write_cfg(tmp_path / "s.cfg", sweep_cfg_text(out))
     assert main(["sweep", "--config", cfg]) == 0
@@ -389,19 +395,28 @@ def test_diagnose_decomposes_h_and_p_once(ex2_files, eig_calls):
 
 @pytest.mark.parametrize("mus", ["25", "10, 40, 100"])
 def test_sweep_decomposes_h_once(tmp_path, monkeypatch, eig_calls, mus):
-    monkeypatch.setenv("SPARSEDM_SWEEP_THREADS", "2")
+    set_affinity(monkeypatch, 2)
     cfg = write_cfg(tmp_path / "s.cfg", sweep_cfg_text(tmp_path / "o", mus=mus))
     assert main(["sweep", "--config", cfg]) == 0
     h = build_laplacian_1d(Grid1D(length=10, n=16))
     assert named(eig_calls, H=h) == ["H"]
 
 
-def test_sweep_rejects_bad_thread_env(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("cpus, workers", [(1, 1), (3, 2)])
+def test_sweep_pool_follows_cpu_affinity(tmp_path, monkeypatch, cpus, workers):
+    sizes = []
+
+    def recording_pool(**kwargs):
+        sizes.append(kwargs["max_workers"])
+        return pool(**kwargs)
+
+    pool = cli.ThreadPoolExecutor
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", recording_pool)
+    set_affinity(monkeypatch, cpus)
     cfg = write_cfg(tmp_path / "s.cfg", sweep_cfg_text(tmp_path / "o"))
-    for value in ("many", "0", "-2"):
-        monkeypatch.setenv("SPARSEDM_SWEEP_THREADS", value)
-        assert main(["sweep", "--config", cfg]) == 1, value
-        assert "SPARSEDM_SWEEP_THREADS" in capsys.readouterr().err, value
+    assert main(["sweep", "--config", cfg]) == 0
+    # One worker per CPU, but never more than the two mu values.
+    assert sizes == [workers]
 
 
 @pytest.fixture
@@ -416,7 +431,7 @@ def blas_threads():
     control.set(before)
 
 
-@pytest.mark.parametrize("workers, expected", [("2", 1), ("1", 2)])
+@pytest.mark.parametrize("workers, expected", [(2, 1), (1, 2)])
 def test_sweep_workers_each_get_one_blas_thread(tmp_path, monkeypatch, blas_threads,
                                                 workers, expected):
     seen = []
@@ -427,7 +442,7 @@ def test_sweep_workers_each_get_one_blas_thread(tmp_path, monkeypatch, blas_thre
 
     solve = cli.solve
     monkeypatch.setattr(cli, "solve", recording_solve)
-    monkeypatch.setenv("SPARSEDM_SWEEP_THREADS", workers)
+    set_affinity(monkeypatch, workers)
     cfg = write_cfg(tmp_path / "s.cfg", sweep_cfg_text(tmp_path / "o"))
     assert main(["sweep", "--config", cfg]) == 0
     assert seen == [expected, expected]
@@ -442,7 +457,7 @@ def test_sweep_restores_blas_threads_on_failure(tmp_path, monkeypatch, capsys, b
 
     solve = cli.solve
     monkeypatch.setattr(cli, "solve", failing_solve)
-    monkeypatch.setenv("SPARSEDM_SWEEP_THREADS", "2")
+    set_affinity(monkeypatch, 2)
     cfg = write_cfg(tmp_path / "s.cfg", sweep_cfg_text(tmp_path / "o"))
     assert main(["sweep", "--config", cfg]) == 2
     assert "mu=40 failed: boom" in capsys.readouterr().err
@@ -458,9 +473,9 @@ def test_sweep_restores_blas_threads_on_failure(tmp_path, monkeypatch, capsys, b
 
 
 def test_sweep_outputs_do_not_depend_on_worker_count(tmp_path, monkeypatch):
-    for workers in ("1", "2"):
-        monkeypatch.setenv("SPARSEDM_SWEEP_THREADS", workers)
-        cfg = write_cfg(tmp_path / "s.cfg", sweep_cfg_text(tmp_path / workers, mus="10, 40, 100"))
+    for workers in (1, 2):
+        set_affinity(monkeypatch, workers)
+        cfg = write_cfg(tmp_path / "s.cfg", sweep_cfg_text(tmp_path / str(workers), mus="10, 40, 100"))
         assert main(["sweep", "--config", cfg]) == 0
     for mu in ("mu_10", "mu_40", "mu_100"):
         for name in ("P.mat", "Q.mat", "R.mat"):

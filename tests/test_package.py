@@ -37,3 +37,10 @@ def test_earlier_names_still_export():
     assert set(EARLIER_NAMES) <= set(sparsedm.__all__)
     assert {"write_csv", "write_delta_csv", "write_occupation_csv",
             "write_sweep_csv", "write_theta_csv"} <= set(sparsedm.__all__)
+
+
+def test_clamp_internals_stay_in_linalg():
+    internals = {"Anchor", "clamp_eig", "warm_positive_eig"}
+    assert not internals & set(sparsedm.__all__)
+    for name in internals:
+        assert hasattr(linalg, name), name

@@ -6,7 +6,14 @@ import pytest
 from sparsedm import linalg
 from sparsedm.diagnostics import exact_density_matrix
 from sparsedm.hamiltonian import Grid1D, HamiltonianSpec, build_kronig_penney, build_laplacian_1d
-from sparsedm.linalg import WARM_RTOL, fro_norm, soft_threshold, spectral_clamp, trace_shift_project
+from sparsedm.linalg import (
+    WARM_RTOL,
+    WarmStart,
+    fro_norm,
+    soft_threshold,
+    spectral_clamp,
+    trace_shift_project,
+)
 from sparsedm.solver import (
     IterationRecord,
     SolverParams,
@@ -351,6 +358,13 @@ def test_clamp_basis_wider_than_a_third_is_not_stored(monkeypatch):
                         lambda a, basis, *rest: widths.append(basis.shape[1]) or warm(a, basis, *rest))
     assert solve(CHAIN_H, CHAIN_PARAMS).converged
     assert widths and max(widths) <= CHAIN_H.shape[0] / 3
+
+
+def test_solve_result_carries_no_clamp_cache():
+    # The last step of this solve keeps a basis; only a next step could use it.
+    result = solve(CHAIN_H, CHAIN_PARAMS)
+    assert result.converged and result.warm.basis is None
+    assert result.warm == WarmStart()
 
 
 def test_anchored_certificate_returns_the_factorized_pairs(monkeypatch):

@@ -92,7 +92,9 @@ def exact_density_matrix(
     if not 1 <= n_occ <= n:
         raise ValueError(f"n_occ must be in 1..{n}, got {n_occ}")
     low = _lowest_eigenvectors(H, n_occ, h_eig)
-    return symmetrize(low @ low.T)
+    # numpy computes a product with its own transpose by BLAS syrk, which
+    # fills one triangle and mirrors it, so the projector is exactly symmetric.
+    return low @ low.T
 
 
 def energy_gap_metrics(

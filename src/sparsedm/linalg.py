@@ -1,8 +1,8 @@
 """Dense symmetric-matrix kernels and the shared text formats: matrices
-and CSV reports. The matrix text I/O streams: ``write_matrix`` formats
-and writes one row at a time, and ``read_matrix`` parses CHUNK_ROWS lines
-at a time with numpy's C text reader straight into the result array,
-falling back to a per-row ``float()`` parse for a chunk numpy rejects.
+and CSV reports. The matrix text I/O is one numpy call each way:
+``write_matrix`` is ``np.savetxt`` after the header line, and
+``read_matrix`` hands the streamed rows to ``np.loadtxt``, falling back to
+a per-row ``float()`` parse only for a file numpy rejects.
 
 Matrices are plain float64 numpy arrays of shape (n, n). The kernels
 preserve the exact symmetry of symmetric input: entrywise and diagonal
@@ -22,7 +22,8 @@ last factorized one (the ``Anchor``) does not already prove it.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -60,9 +61,6 @@ WARM_RTOL = 1e-10
 CLAMP_MARGIN = 8
 MAX_WAIT = 64
 LO_WIDEN = 1.05
-
-# read_matrix hands numpy's text reader this many rows at a time.
-CHUNK_ROWS = 64
 
 
 class MatrixFormatError(ValueError):
@@ -332,13 +330,10 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> float:
 
 def write_matrix(path, a: np.ndarray) -> None:
     """Write a matrix in the text format: header n, then n rows of ``.17g``
-    entries, which round-trip float64. Rows are formatted and written one
-    at a time."""
-    row_fmt = " ".join(["%.17g"] * a.shape[1]) + "\n"
+    entries, which round-trip float64."""
     with open(path, "w") as fh:
         fh.write(f"{a.shape[0]}\n")
-        for row in a:
-            fh.write(row_fmt % tuple(row.tolist()))
+        np.savetxt(fh, a, fmt="%.17g")
 
 
 def write_csv(path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
@@ -356,46 +351,22 @@ def write_csv(path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_rows(chunk: list[str], n: int, first: int) -> tuple[np.ndarray | None, str | None]:
-    """Parse chunk, the text of matrix rows first + 1, first + 2, ..., into a
-    len(chunk) x n block: returns (block, None), or (None, message) naming
-    the first malformed row.
-
-    numpy's C reader parses the chunk at once. When it rejects the chunk or
-    returns another shape, the rows are parsed one by one with str.split and
-    float(), which are the reference for the accepted syntax (float() also
-    takes ``1_0`` and non-ASCII digits) and for the messages.
-    """
-    try:
-        block = np.loadtxt(chunk, dtype=float, comments=None, ndmin=2)
-    except ValueError:
-        block = None
-    if block is not None and block.shape == (len(chunk), n):
-        return block, None
-    block = np.empty((len(chunk), n))
-    for i, line in enumerate(chunk):
-        fields = line.split()
-        if len(fields) != n:
-            return None, f"row {first + i + 1} has {len(fields)} entries, expected {n}"
-        try:
-            block[i] = [float(f) for f in fields]
-        except ValueError:
-            return None, f"row {first + i + 1} contains a non-numeric entry"
-    return block, None
+def _matrix_lines(fh) -> Iterator[str]:
+    """The lines of a matrix file, blank ones skipped."""
+    return (ln for raw in fh for ln in raw.splitlines() if ln.strip())
 
 
 def read_matrix(path) -> np.ndarray:
     """Parse the matrix text format; raises MatrixFormatError on bad shape.
 
-    Blank lines are skipped. The rows are parsed CHUNK_ROWS at a time
-    straight into the result, so the text is never held whole; see
-    ``_parse_rows`` for the syntax. A wrong row count is reported in
-    preference to a malformed row. The result is returned as-is (not
-    symmetrized); callers that require symmetry should pass it through
-    ``require_symmetric``.
+    Blank lines are skipped. numpy's C reader parses the rows in one pass
+    over the streamed lines; when it rejects them or returns another shape,
+    ``_parse_rows`` reads the file again row by row. The result is returned
+    as-is (not symmetrized); callers that require symmetry should pass it
+    through ``require_symmetric``.
     """
     with open(path) as fh:
-        lines = (ln for raw in fh for ln in raw.splitlines() if ln.strip())
+        lines = _matrix_lines(fh)
         header = next(lines, None)
         if header is None:
             raise MatrixFormatError(f"{path}: empty matrix file")
@@ -405,27 +376,40 @@ def read_matrix(path) -> np.ndarray:
             raise MatrixFormatError(f"{path}: header {header!r} is not an integer") from None
         if n <= 0:
             raise MatrixFormatError(f"{path}: dimension must be positive, got {n}")
-        # Allocated at the first well-formed chunk, so a header far larger
-        # than the file allocates nothing.
+        # A body with no rows never reaches numpy, which would warn. There is
+        # no max_rows=n either: numpy would allocate n rows up front, and a
+        # header far larger than the file must allocate nothing. A wrong row
+        # count shows as a wrong shape instead.
+        first = next(lines, None)
         a = None
-        found, bad_row, chunk = 0, None, []
-        for found, line in enumerate(lines, start=1):
-            if found > n or bad_row is not None:
-                continue
-            chunk.append(line)
-            # A short file's last chunk is left unparsed: its row count is the error.
-            if len(chunk) == CHUNK_ROWS or found == n:
-                first = found - len(chunk)
-                block, bad_row = _parse_rows(chunk, n, first)
-                if block is not None:
-                    if a is None:
-                        a = np.empty((n, n))
-                    a[first:found] = block
-                chunk = []
-    if found != n:
-        raise MatrixFormatError(f"{path}: expected {n} rows, found {found}")
-    if bad_row is not None:
-        raise MatrixFormatError(f"{path}: {bad_row}")
+        if first is not None:
+            try:
+                a = np.loadtxt(chain([first], lines), dtype=float, comments=None, ndmin=2)
+            except ValueError:
+                pass
+    if a is None or a.shape != (n, n):
+        a = _parse_rows(path, n)
     if not np.all(np.isfinite(a)):
         raise MatrixFormatError(f"{path}: matrix contains non-finite entries")
+    return a
+
+
+def _parse_rows(path, n: int) -> np.ndarray:
+    """Parse the n rows after the header of path one by one with str.split
+    and float(), which are the reference for the accepted syntax (float()
+    also takes ``1_0`` and non-ASCII digits) and for the messages. A wrong
+    row count is reported in preference to a malformed row."""
+    with open(path) as fh:
+        rows = list(_matrix_lines(fh))[1:]
+    if len(rows) != n:
+        raise MatrixFormatError(f"{path}: expected {n} rows, found {len(rows)}")
+    a = np.empty((n, n))
+    for i, line in enumerate(rows, start=1):
+        fields = line.split()
+        if len(fields) != n:
+            raise MatrixFormatError(f"{path}: row {i} has {len(fields)} entries, expected {n}")
+        try:
+            a[i - 1] = [float(f) for f in fields]
+        except ValueError:
+            raise MatrixFormatError(f"{path}: row {i} contains a non-numeric entry") from None
     return a

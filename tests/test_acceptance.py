@@ -51,6 +51,12 @@ def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
+def _time_bound(num: int, elapsed: float, bound: float) -> None:
+    """Asserted after the verdict, so a loaded machine does not read as a
+    wrong answer."""
+    assert elapsed < bound, f"criterion {num} took {elapsed:.1f}s, over its {bound:g}s bound"
+
+
 def test_criterion_1_small_instance_regression():
     h = example2_h()
     start = time.perf_counter()
@@ -64,9 +70,9 @@ def test_criterion_1_small_instance_regression():
         and obj <= 2 + 1e-6
         and max(last.residual_q, last.residual_r) <= 1e-6
         and max(rep.asymmetry, rep.trace_error, rep.eig_below, rep.eig_above) <= 1e-6
-        and elapsed < 1.0
     )
     _verdict(1, "3x3 regression", ok, f"objective={obj:.9f}, {elapsed:.3f}s")
+    _time_bound(1, elapsed, 1.0)
 
 
 def test_criterion_2_fixed_point():
@@ -116,8 +122,9 @@ def test_criterion_4_pure_trace_matches_exact_projector():
         assert res.converged
         worst = max(worst, fro_norm(res.R - target))
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-5 and elapsed < 30.0
+    ok = worst <= 1e-5
     _verdict(4, "disabled l1 equals projector", ok, f"worst error {worst:.2e}, {elapsed:.1f}s")
+    _time_bound(4, elapsed, 30.0)
 
 
 def test_criterion_5_per_iteration_invariants():
@@ -189,7 +196,6 @@ def test_criterion_6_free_electron_trends():
         and all(b <= a for a, b in zip(trhp, trhp[1:]))
         and all(value >= exact - 1e-6 for value in trhp)
         and sparse[mus.index(10.0)] >= sparse[mus.index(100.0)]
-        and elapsed < 15 * 60
     )
     _verdict(
         6,
@@ -199,6 +205,7 @@ def test_criterion_6_free_electron_trends():
         f"space {space[0]:.2f}->{space[-1]:.2f}, "
         f"sparsity(10)={sparse[1]:.3f} vs (100)={sparse[-1]:.3f}, {elapsed:.0f}s",
     )
+    _time_bound(6, elapsed, 15 * 60)
 
 
 def test_criterion_7_well_chain_band_structure():
@@ -286,7 +293,6 @@ def test_criterion_8_kernel_property_suites():
         and clamp_drift <= 1e-10
         and recon <= 1e-10
         and ortho <= 1e-12
-        and elapsed < 60.0
     )
     _verdict(
         8,
@@ -296,6 +302,7 @@ def test_criterion_8_kernel_property_suites():
         f"trace {trace_err:.1e}, clamp {clamp_bound:.1e}, recon {recon:.1e}, "
         f"{elapsed:.1f}s",
     )
+    _time_bound(8, elapsed, 60.0)
 
 
 def test_criterion_9_figure_data_shape_only(tmp_path):

@@ -44,8 +44,9 @@ def test_exact_density_matrix_full_rank_is_identity():
 
 def test_exact_density_matrix_is_projector():
     rng = np.random.default_rng(32)
-    for _ in range(10):
-        n = int(rng.integers(3, 20))
+    # Ten small cases, then one at a size the solver runs at.
+    for case in range(11):
+        n = int(rng.integers(3, 20)) if case < 10 else 300
         n_occ = int(rng.integers(1, n))
         h = gapped_hamiltonian(rng, n, n_occ)
         p = exact_density_matrix(h, n_occ)

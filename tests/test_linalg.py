@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,7 @@ ERROR_MESSAGES = [
     ("3\n1 2 3\n1 2\n", "expected 3 rows, found 2"),
     ("2\n1 0\n0 x\n", "row 2 contains a non-numeric entry"),
     ("1000000000\n1 2\n", "expected 1000000000 rows, found 1"),
+    ("3\n", "expected 3 rows, found 0"),
     (" x \n1\n", "header ' x ' is not an integer"),
 ]
 
@@ -231,8 +233,9 @@ def chunked_file(n: int, bad: int | None = None, entry: str = "x") -> str:
         "2\n1 0 \x00\n0 1\n",
         "2\n1 0\n\xa0\n0 1\n",  # a row of Unicode whitespace is a blank line
         pytest.param(chunked_file(70), id="n70"),
-        # numpy rejects chunk 1, float() accepts it
+        # numpy rejects the rows, float() accepts them
         pytest.param(chunked_file(70, 3, "1_0"), id="n70-row3-1_0"),
+        pytest.param(chunked_file(70, 70, "1_0"), id="n70-row70-1_0"),
         *(pytest.param(chunked_file(70, bad), id=f"n70-row{bad}-x") for bad in (64, 65, 70)),
         *(pytest.param(chunked_file(70, bad, "1 2"), id=f"n70-row{bad}-71-entries")
           for bad in (64, 65, 70)),
@@ -254,6 +257,15 @@ def test_read_matrix_matches_per_row_reference(tmp_path, content):
         assert got == want
     else:
         assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+
+
+def test_read_matrix_header_only_raises_no_warning(tmp_path):
+    path = tmp_path / "header.mat"
+    path.write_text("3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MatrixFormatError, match="expected 3 rows, found 0$"):
+            read_matrix(path)
 
 
 def test_read_matrix_does_not_symmetrize(tmp_path):

@@ -45,7 +45,7 @@ from .diagnostics import (
     write_theta_csv,
 )
 from .hamiltonian import Grid1D, HamiltonianSpec, build_hamiltonian, load_matrix
-from .linalg import entrywise_l1, sym_eig, write_csv, write_matrix
+from .linalg import SpectralDecomposition, entrywise_l1, sym_eig, write_csv, write_matrix
 from .solver import (
     SaddlePoint,
     SolverParams,
@@ -456,9 +456,14 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     out = cfg.out_dir if cfg.out_dir is not None else cfg.run_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    h_eig, p_eig = sym_eig(H), sym_eig(P)
-    write_occupation_csv(out / "occupation.csv", occupation_numbers(P, p_eig=p_eig).values)
+    h_eig = sym_eig(H)
     write_theta_csv(out / "theta.csv", band_occupations(P, H, h_eig=h_eig))
+    # Past theta only ritz_compare reads H's spectrum, and only its
+    # eigenvalues: the eigenvectors are freed before P's eigensolve, so one
+    # n x n decomposition is held at a time.
+    h_eig = SpectralDecomposition(h_eig.eigenvalues, np.empty((n, 0)))
+    p_eig = sym_eig(P)
+    write_occupation_csv(out / "occupation.csv", occupation_numbers(P, p_eig=p_eig).values)
 
     sites = cfg.sites if cfg.sites is not None else (n // 2,)
     xs = cfg.grid.points() if cfg.grid is not None else np.arange(n, dtype=float)

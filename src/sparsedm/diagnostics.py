@@ -175,6 +175,9 @@ def ritz_compare(
     n eps max(f) are rounding noise of the decomposition, such as the null
     space of a projector, and leaving them out moves the result by about
     as much.
+
+    Of h_eig only the eigenvalues are read, so its eigenvectors may be an
+    empty (n, 0) block.
     """
     n = H.shape[0]
     if not 1 <= k <= n:

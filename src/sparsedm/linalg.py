@@ -225,9 +225,10 @@ def warm_positive_eig(
     exact clamp of a to within sqrt(2) times the residual.
     Returns all k Ritz pairs, ascending, so the caller can keep a margin.
     """
-    scale = max(1.0, fro_norm(a))
-    if not (np.isfinite(scale) and lo < 0.0):
+    norm = fro_norm(a)  # NaN for a NaN entry, which max(1.0, norm) would hide
+    if not (np.isfinite(norm) and lo < 0.0):
         return None
+    scale = max(1.0, norm)
     # Scaled three-term recurrence, y = T_m((A - c) / e) basis / T_m((scale - c) / e);
     # scale >= ||A||_2 lies above the spectrum.
     c = lo / 2  # centre of [lo, 0]; -c is its half-width

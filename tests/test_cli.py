@@ -1,6 +1,7 @@
 import csv
 import os
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +283,8 @@ BAD_H_CASES = {
                              "solver.mu = 1\nsolver.n_occ = 1\n", "hamiltonian.path: "),
     "from_file_malformed": ("hamiltonian.kind = from_file\nhamiltonian.path = {malformed}\n"
                             "solver.mu = 1\nsolver.n_occ = 1\n", "hamiltonian.path: "),
+    "n_occ_missing": ("hamiltonian.kind = from_file\nhamiltonian.path = {H}\nsolver.mu = 1\n",
+                      "solver.n_occ is required"),
 }
 
 
@@ -303,6 +306,7 @@ BAD_START_CASES = {
     # config key -> matrix written to the file it names
     "initial.path": np.eye(3),  # trace 3, target 1
     "saddle.p": np.eye(2),  # the Hamiltonian is 3 x 3
+    "saddle.q": np.triu(np.ones((3, 3))),  # asymmetric: load_matrix rejects it
 }
 
 
@@ -391,6 +395,26 @@ def test_diagnose_decomposes_h_and_p_once(ex2_files, eig_calls):
     assert main(["diagnose", "--config", cfg]) == 0
     # "other" is the Ritz surrogate sqrt(P) H sqrt(P)
     assert named(eig_calls, H=example2_h(), P=p) == ["H", "P", "other"]
+
+
+def test_diagnose_frees_h_eigenvectors_before_decomposing_p(ex2_files, monkeypatch):
+    # At each sym_eig call, whether the eigenvectors of each earlier call live.
+    alive, refs = [], []
+
+    def tracking_eig(a):
+        alive.append([ref() is not None for ref in refs])
+        eig = sym_eig(a)
+        refs.append(weakref.ref(eig.eigenvectors))
+        return eig
+
+    sym_eig = cli.sym_eig
+    monkeypatch.setattr(cli, "sym_eig", tracking_eig)
+    run = ex2_files / "run"
+    run.mkdir()
+    write_matrix(run / "P.mat", random_feasible(np.random.default_rng(5), 3, 1))
+    cfg = write_cfg(ex2_files / "d.cfg", diag_cfg_text(ex2_files, run))
+    assert main(["diagnose", "--config", cfg]) == 0
+    assert alive == [[], [False]]
 
 
 @pytest.mark.parametrize("mus", ["25", "10, 40, 100"])
@@ -529,6 +553,23 @@ def test_diagnose_requires_solution(ex2_files, capsys):
     assert "P.mat" in err and "run.dir" in err
 
 
+@pytest.mark.parametrize("command, key", [
+    ("solve", "output.dir"), ("sweep", "output.dir"), ("exact", "output.dir"),
+    ("diagnose", "run.dir"),
+])
+def test_missing_directory_key_fails_before_any_output(ex2_files, capsys, command, key):
+    run = ex2_files / "run"
+    run.mkdir()
+    write_matrix(run / "P.mat", np.diag([1.0, 0.0, 0.0]))
+    text = diag_cfg_text(ex2_files, run) + f"output.dir = {ex2_files / 'out'}\n"
+    text = "".join(line for line in text.splitlines(keepends=True) if not line.startswith(key))
+    cfg = write_cfg(ex2_files / "c.cfg", text)
+    before = sorted(ex2_files.rglob("*"))
+    assert main([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} is required")
+    assert sorted(ex2_files.rglob("*")) == before
+
+
 @pytest.mark.parametrize("key, value", [("diagnose.sites", "0, 7"), ("diagnose.ritz_k", "9")])
 def test_bad_diagnose_index_fails_before_any_output(ex2_files, capsys, key, value):
     run = ex2_files / "run"
@@ -539,6 +580,22 @@ def test_bad_diagnose_index_fails_before_any_output(ex2_files, capsys, key, valu
     assert main(["diagnose", "--config", cfg]) == 1
     assert f"error: {key}" in capsys.readouterr().err
     assert sorted(path.name for path in run.iterdir()) == ["P.mat"]
+
+
+@pytest.mark.parametrize("content", [
+    "3\n1 0 0\n0 0\n0 0 0\n",  # a short row
+    "3\n1 1 0\n0 0 0\n0 0 0\n",  # asymmetric
+    "2\n1 0\n0 0\n",  # the Hamiltonian is 3 x 3
+], ids=["malformed", "asymmetric", "wrong-size"])
+def test_bad_solution_fails_before_any_output(ex2_files, capsys, content):
+    run = ex2_files / "run"
+    run.mkdir()
+    (run / "P.mat").write_text(content)
+    out = ex2_files / "out"
+    cfg = write_cfg(ex2_files / "d.cfg", diag_cfg_text(ex2_files, run) + f"output.dir = {out}\n")
+    assert main(["diagnose", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("error: run.dir: ")
+    assert not out.exists()
 
 
 def test_diagnose_on_exact_projector(ex2_files):

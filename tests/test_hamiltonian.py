@@ -73,6 +73,13 @@ def test_kp_potential_is_attractive_and_on_diagonal():
     assert np.array_equal(hmat[off], free[off])
 
 
+@pytest.mark.parametrize("spec", [HamiltonianSpec("free_laplacian"),
+                                  HamiltonianSpec("from_file", path="H.mat")])
+def test_kp_potential_rejects_other_kinds(spec):
+    with pytest.raises(ValueError, match=f"requires a kronig_penney spec, got '{spec.kind}'"):
+        sample_kp_potential(Grid1D(length=10.0, n=8), spec)
+
+
 def test_kp_potential_periodic_minimum_image():
     grid = Grid1D(length=20.0, n=40)
     spec = HamiltonianSpec("kronig_penney", centers=(0.0,), well_width=2.0)

@@ -488,6 +488,30 @@ def test_fresh_warm_start_skips_its_first_call(monkeypatch):
         assert (warm.misses, warm.wait) == (0, 0)
 
 
+def test_sym_eig_failure_names_the_matrix_size(monkeypatch):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(linalg.np.linalg, "eigh", no_convergence)
+    with pytest.raises(linalg.EigenSolverError,
+                       match=r"^eigendecomposition of 5x5 matrix .* did not converge") as info:
+        sym_eig(np.eye(5))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("fault", ["nan", "inf", "lo = 0", "lo > 0"])
+def test_warm_positive_eig_refuses_bad_input(fault):
+    a, q = few_positive(np.random.default_rng(19), 40, 3)
+    basis = q[:, -(3 + CLAMP_MARGIN):]
+    lo, hi = dense_bounds(sym_eig(a).eigenvalues)
+    assert warm_positive_eig(a, basis, lo, hi) is not None
+    if fault in ("nan", "inf"):
+        a[0, 0] = float(fault)
+    else:
+        lo = 0.0 if fault == "lo = 0" else 0.5
+    assert warm_positive_eig(a, basis, lo, hi) is None
+
+
 def test_sym_eig_reconstructs():
     rng = np.random.default_rng(9)
     a = random_symmetric(rng, 14, scale=2.0)

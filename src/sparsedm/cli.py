@@ -35,7 +35,6 @@ from .diagnostics import (
     delta_projections,
     energy_gap_metrics,
     exact_density_matrix,
-    occupation_numbers,
     ritz_compare,
     space_approximation,
     sparsity_fraction,
@@ -391,10 +390,18 @@ def cmd_sweep(cfg: RunConfig) -> int:
     start, saddle = _start_inputs(cfg, H)
     out = _require_out(cfg)
     workers = _sweep_workers(len(cfg.runs))
-    h_eig = sym_eig(H)
+    n_occ = cfg.runs[0].n_occ
+    # The metrics read H's eigenvalues and its n_occ lowest eigenvectors
+    # only, so the other n - n_occ eigenvectors are freed here.
+    w, v = sym_eig(H)
+    h_eig = SpectralDecomposition(w, v[:, :n_occ].copy())
+    del v
 
-    def run(params: SolverParams):
-        return _run_one(H, params, out / _run_dir_name(params.mu), start, saddle)
+    def run(params: SolverParams) -> tuple[bool, np.ndarray]:
+        # Only P leaves the worker: Q, R, b, d and the history of a
+        # finished run are on disk and freed here.
+        result = _run_one(H, params, out / _run_dir_name(params.mu), start, saddle)
+        return result.converged, result.P
 
     status = 0
     rows = []
@@ -403,21 +410,22 @@ def cmd_sweep(cfg: RunConfig) -> int:
     blas = _one_blas_thread() if workers > 1 else nullcontext()
     with blas, ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {params: pool.submit(run, params) for params in cfg.runs}
-        for params in sorted(futures, key=lambda p: p.mu):
+        for params in sorted(cfg.runs, key=lambda p: p.mu):
             try:
-                result = futures[params].result()
+                converged, P = futures.pop(params).result()
             except Exception as exc:
-                print(f"error: run mu={params.mu:g} failed: {exc}", file=sys.stderr)
+                detail = f"{exc} ({type(exc).__name__})".lstrip()
+                print(f"error: run mu={params.mu:g} failed: {detail}", file=sys.stderr)
                 status = 2
                 continue
-            if not result.converged:
+            if not converged:
                 status = 2
-            trhp, exact = energy_gap_metrics(result.P, H, params.n_occ, h_eig=h_eig)
+            trhp, exact = energy_gap_metrics(P, H, n_occ, h_eig=h_eig)
             rows.append((
-                params.mu, trhp, exact, entrywise_l1(result.P),
-                space_approximation(result.P, H, params.n_occ, h_eig=h_eig),
-                sparsity_fraction(result.P),
+                params.mu, trhp, exact, entrywise_l1(P),
+                space_approximation(P, H, n_occ, h_eig=h_eig), sparsity_fraction(P),
             ))
+            del P  # held no longer than its row
     write_sweep_csv(out / "sweep.csv", rows)
     return status
 
@@ -463,7 +471,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     # n x n decomposition is held at a time.
     h_eig = SpectralDecomposition(h_eig.eigenvalues, np.empty((n, 0)))
     p_eig = sym_eig(P)
-    write_occupation_csv(out / "occupation.csv", occupation_numbers(P, p_eig=p_eig).values)
+    write_occupation_csv(out / "occupation.csv", p_eig.eigenvalues[::-1])
 
     sites = cfg.sites if cfg.sites is not None else (n // 2,)
     xs = cfg.grid.points() if cfg.grid is not None else np.arange(n, dtype=float)

@@ -496,6 +496,49 @@ def test_sweep_restores_blas_threads_on_failure(tmp_path, monkeypatch, capsys, b
     assert blas_threads.get() == 2
 
 
+def test_sweep_names_the_exception_type_of_a_failed_run(tmp_path, monkeypatch, capsys):
+    def failing_solve(H, params, **kwargs):
+        if params.mu == 40:
+            raise MemoryError()
+        return solve(H, params, **kwargs)
+
+    solve = cli.solve
+    monkeypatch.setattr(cli, "solve", failing_solve)
+    set_affinity(monkeypatch, 2)
+    cfg = write_cfg(tmp_path / "s.cfg", sweep_cfg_text(tmp_path / "o"))
+    assert main(["sweep", "--config", cfg]) == 2
+    assert "error: run mu=40 failed: (MemoryError)" in capsys.readouterr().err
+
+
+def test_sweep_holds_no_finished_result(tmp_path, monkeypatch):
+    # A weak reference to each run's SolverResult, by mu. Rows are built in
+    # ascending mu, so at each row the runs up to its mu have finished; record
+    # how many of their results still live, and the width of H's spectrum.
+    mus = (10.0, 40.0, 100.0)
+    refs, seen = {}, []
+
+    def recording_solve(H, params, **kwargs):
+        result = solve(H, params, **kwargs)
+        refs[params.mu] = weakref.ref(result)
+        return result
+
+    def recording_metrics(P, H, n_occ, *, h_eig):
+        row_mu = mus[len(seen)]
+        alive = sum(ref() is not None for mu, ref in list(refs.items()) if mu <= row_mu)
+        seen.append((alive, h_eig.eigenvectors.shape[1]))
+        return metrics(P, H, n_occ, h_eig=h_eig)
+
+    solve, metrics = cli.solve, cli.energy_gap_metrics
+    monkeypatch.setattr(cli, "solve", recording_solve)
+    monkeypatch.setattr(cli, "energy_gap_metrics", recording_metrics)
+    set_affinity(monkeypatch, 2)
+    cfg = write_cfg(tmp_path / "s.cfg", sweep_cfg_text(tmp_path / "o", mus="10, 40, 100"))
+    assert main(["sweep", "--config", cfg]) == 0
+    # No finished result outlives its worker, and of H's 16 eigenvectors
+    # only the n_occ = 3 lowest are kept.
+    assert seen == [(0, 3)] * 3
+
+
 def test_sweep_outputs_do_not_depend_on_worker_count(tmp_path, monkeypatch):
     for workers in (1, 2):
         set_affinity(monkeypatch, workers)

@@ -60,9 +60,15 @@ def test_exact_density_matrix_warns_on_degenerate_gap():
         exact_density_matrix(np.diag([1.0, 1.0, 2.0]), 1)
 
 
+def lowest(eig: SpectralDecomposition, n_occ: int) -> SpectralDecomposition:
+    """eig with only its n_occ lowest eigenvectors, as a sweep keeps it."""
+    return SpectralDecomposition(eig.eigenvalues, eig.eigenvectors[:, :n_occ].copy())
+
+
 @pytest.mark.parametrize("measure", [
     lambda h: exact_density_matrix(h, 1),
     lambda h: space_approximation(np.eye(3) / 3, h, 1),
+    lambda h: space_approximation(np.eye(3) / 3, h, 1, h_eig=lowest(sym_eig(h), 1)),
 ])
 def test_degenerate_gap_warning_points_at_the_caller(measure):
     with pytest.warns(DegenerateGapWarning) as record:
@@ -294,10 +300,13 @@ def test_given_spectra_give_bitwise_the_same_results():
     h = gapped_hamiltonian(rng, n, n_occ)
     p = random_feasible(rng, n, n_occ)
     h_eig, p_eig = sym_eig(h), sym_eig(p)
+    h_low = lowest(h_eig, n_occ)
     pairs = [
         (exact_density_matrix(h, n_occ), exact_density_matrix(h, n_occ, h_eig=h_eig)),
         (energy_gap_metrics(p, h, n_occ), energy_gap_metrics(p, h, n_occ, h_eig=h_eig)),
         (space_approximation(p, h, n_occ), space_approximation(p, h, n_occ, h_eig=h_eig)),
+        (energy_gap_metrics(p, h, n_occ), energy_gap_metrics(p, h, n_occ, h_eig=h_low)),
+        (space_approximation(p, h, n_occ), space_approximation(p, h, n_occ, h_eig=h_low)),
         (band_occupations(p, h), band_occupations(p, h, h_eig=h_eig)),
         (occupation_numbers(p), occupation_numbers(p, p_eig=p_eig)),
         (ritz_compare(p, h, n_occ), ritz_compare(p, h, n_occ, p_eig=p_eig, h_eig=h_eig)),

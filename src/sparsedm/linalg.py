@@ -8,14 +8,16 @@ Matrices are plain float64 numpy arrays of shape (n, n). The kernels
 preserve the exact symmetry of symmetric input: entrywise and diagonal
 maps do so by construction, and ``spectral_clamp``, whose matrix product
 does not, ends with the symmetrization ``(A + A.T) / 2``, which is
-bitwise symmetric under IEEE arithmetic. That holds on both of its
-paths, the full ``sym_eig`` and the certified low-rank pairs of
-``warm_positive_eig``, between which ``clamp_eig`` picks. Downstream code
-may therefore rely on ``A[i, j] == A[j, i]`` exactly for outputs of
-symmetric input.
+bitwise symmetric under IEEE arithmetic. That holds on each of its
+three paths, between which ``clamp_eig`` picks: the full ``sym_eig``, the
+last full eigenbasis reused by ``held_eig`` while it still diagonalizes
+the matrix, and the certified low-rank pairs of ``warm_positive_eig``.
+Downstream code may therefore rely on ``A[i, j] == A[j, i]`` exactly for
+outputs of symmetric input.
 
-The low-rank path pays only for the certainty the spectrum needs: its
-filter interval comes from the last dense spectrum, and its inertia
+The two certified paths pay only for the certainty the spectrum needs:
+the held basis costs two matrix products and no eigensolve, the low-rank
+path's filter interval comes from the last full spectrum, and its inertia
 certificate is a Cholesky factor only when Weyl's inequality against the
 last factorized one (the ``Anchor``) does not already prove it.
 """
@@ -51,13 +53,14 @@ __all__ = [
 SYMMETRY_RTOL = 1e-12
 
 # warm_positive_eig: degree of its Chebyshev filter, and the Ritz residual
-# allowed relative to max(1, ||A||_F).
+# allowed relative to max(1, ||A||_F); held_eig allows the same off-diagonal
+# mass.
 FILTER_DEGREE = 12
 WARM_RTOL = 1e-10
 # clamp_eig: basis columns kept past the positive ones, the longest wait, and
-# the factor that widens the last dense spectrum's lowest eigenvalue into the
-# filter's lower end, which then holds for the warm calls until the next
-# dense one.
+# the factor that widens the last full spectrum's lowest eigenvalue into the
+# filter's lower end, which then holds for the low-rank calls until the next
+# full one.
 CLAMP_MARGIN = 8
 MAX_WAIT = 64
 LO_WIDEN = 1.05
@@ -94,17 +97,22 @@ class Anchor(NamedTuple):
 
 
 class WarmStart(NamedTuple):
-    """What one ``clamp_eig`` call hands the next; WarmStart() skips the first."""
+    """What one ``clamp_eig`` call hands the next; WarmStart() skips the first.
+
+    ``vectors`` is the full eigenvector matrix of the last call, dense or
+    held, that ends with the next call due; ``held_eig`` tries it first.
+    """
 
     basis: np.ndarray | None = None  # the block warm_positive_eig starts from
     misses: int = 0  # due calls in a row with no certified warm result
     wait: int = 1  # calls left to skip before one is due
-    # From the last dense spectrum: its lowest eigenvalue widened by LO_WIDEN,
+    # From the last full spectrum: its lowest eigenvalue widened by LO_WIDEN,
     # the filter's lower end, and its largest non-positive eigenvalue; 0
     # before the first dense call.
     lo: float = 0.0
     hi: float = 0.0
     anchor: Anchor | None = None  # the last factorized certificate
+    vectors: np.ndarray | None = None  # n x n, what held_eig starts from
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -186,6 +194,28 @@ def spectral_clamp(a: np.ndarray, eig: SpectralDecomposition | None = None) -> n
     pos = w > 0.0
     v = v[:, pos]
     return symmetrize((v * np.minimum(w[pos], 1.0)) @ v.T)
+
+
+def held_eig(a: np.ndarray, v: np.ndarray) -> SpectralDecomposition | None:
+    """Eigenpairs of symmetric a in the n x n orthonormal basis v of an
+    earlier full decomposition; None when v no longer diagonalizes a.
+
+    With B = v^T a v the pairs (diag B, v) are accepted only if
+    ||B - diag B||_F <= WARM_RTOL * max(1, ||a||_F). As
+    a - v diag(B) v^T = v (B - diag B) v^T and the clamp is nonexpansive,
+    their clamp then lies within ||B - diag B||_F of the exact one. The
+    pairs come back with the eigenvalues ascending.
+    """
+    norm = fro_norm(a)
+    if not np.isfinite(norm):
+        return None
+    b = v.T @ (a @ v)
+    w = b.diagonal().copy()
+    b.flat[:: b.shape[0] + 1] = 0.0
+    if not fro_norm(b) <= WARM_RTOL * max(1.0, norm):  # NaN refuses too
+        return None
+    order = np.argsort(w, kind="stable")  # tied columns keep their order
+    return SpectralDecomposition(w[order], v[:, order])
 
 
 def warm_positive_eig(
@@ -281,19 +311,25 @@ def clamp_eig(a: np.ndarray, warm: WarmStart) -> tuple[SpectralDecomposition, Wa
     """Eigenpairs of symmetric a for ``spectral_clamp(a, eig)``, and the
     next call's warm start.
 
-    A due call tries ``warm_positive_eig``: a certified result resets the
-    misses; no basis or a failed certificate is the m-th miss, and the next
-    min(2^(m-1), MAX_WAIT) calls skip. Other calls run ``sym_eig``, whose
-    smallest eigenvalue, widened by LO_WIDEN, and largest non-positive one
-    are the lo and hi of the warm calls until the next dense call; the
-    anchor passes from each warm call to the next. The next basis is the
-    positive eigen- or Ritz vectors plus CLAMP_MARGIN more, or None past
-    n / 3 columns, where eigh costs about as much.
+    A due call tries ``held_eig`` on the held eigenvectors, which a failed
+    check drops, then ``warm_positive_eig`` on the basis. A certified
+    result of either resets the misses; a call that gets neither, for want
+    of vectors and basis or by failed checks, is the m-th miss, and the
+    next min(2^(m-1), MAX_WAIT) calls skip. Other calls run ``sym_eig``.
+    A full spectrum, dense or held, gives the lo and hi of the low-rank
+    calls until the next full one: its smallest eigenvalue, widened by
+    LO_WIDEN, and its largest non-positive one. Its eigenvectors are held
+    only when the next call is due, as no other call reads them. The
+    anchor passes from each low-rank call to the next. The next basis is
+    the positive eigen- or Ritz vectors plus CLAMP_MARGIN more, or None
+    past n / 3 columns, where eigh costs about as much.
     """
-    basis, misses, wait, lo, hi, anchor = warm
+    basis, misses, wait, lo, hi, anchor, vectors = warm
     eig = None
     if wait:
         wait -= 1
+    elif vectors is not None and (eig := held_eig(a, vectors)) is not None:
+        misses = 0
     elif basis is not None and (found := warm_positive_eig(a, basis, lo, hi, anchor)) is not None:
         eig, anchor = found
         misses = 0
@@ -302,14 +338,18 @@ def clamp_eig(a: np.ndarray, warm: WarmStart) -> tuple[SpectralDecomposition, Wa
         wait = min(2 ** (misses - 1), MAX_WAIT)
     if eig is None:
         eig = sym_eig(a)
-        w = eig.eigenvalues
+    w = eig.eigenvalues
+    vectors = None
+    if w.size == a.shape[0]:  # a full spectrum; a low-rank one is at most n / 3 wide
         nonpos = w[w <= 0.0]
         lo = LO_WIDEN * float(w[0])
         hi = float(nonpos[-1]) if nonpos.size else 0.0
-    # A warm result has only the old basis's columns.
-    width = min(np.count_nonzero(eig.eigenvalues > 0) + CLAMP_MARGIN, eig.eigenvalues.size)
+        if not wait:
+            vectors = eig.eigenvectors
+    # A low-rank result has only the old basis's columns.
+    width = min(np.count_nonzero(w > 0) + CLAMP_MARGIN, w.size)
     basis = eig.eigenvectors[:, -width:].copy() if width <= a.shape[0] / 3 else None
-    return eig, WarmStart(basis, misses, wait, lo, hi, anchor)
+    return eig, WarmStart(basis, misses, wait, lo, hi, anchor, vectors)
 
 
 def fro_norm(a: np.ndarray) -> float:

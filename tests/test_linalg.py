@@ -17,6 +17,7 @@ from sparsedm.linalg import (
     clamp_eig,
     entrywise_l1,
     fro_norm,
+    held_eig,
     read_matrix,
     require_symmetric,
     soft_threshold,
@@ -436,37 +437,130 @@ def test_warm_basis_wider_than_a_third_goes_dense(monkeypatch):
     wide, _ = few_positive(rng, n, n // 3 - CLAMP_MARGIN + 1)
     _, warm = clamp_eig(narrow, WarmStart())
     assert warm.basis.shape == (n, n // 3)
-    eig, warm = clamp_eig(narrow, warm)
+    # Without its held eigenvectors the due call takes the low-rank path.
+    eig, warm = clamp_eig(narrow, warm._replace(vectors=None))
     assert eig.eigenvalues.size == n // 3 and warm.basis.shape == (n, n // 3)
     assert (warm.misses, warm.wait) == (0, 0)
 
     _, warm = clamp_eig(wide, WarmStart())
-    assert warm.basis is None and (warm.misses, warm.wait) == (0, 0)
-    # The next call is due but has no basis: it runs eigh and counts a miss.
+    assert warm.basis is None and warm.vectors.shape == (n, n)
+    assert (warm.misses, warm.wait) == (0, 0)
     calls = []
     monkeypatch.setattr(linalg, "sym_eig", lambda a: calls.append(a) or sym_eig(a))
+    # The next call is due and has no basis, but the held eigenvectors
+    # still diagonalize the same matrix: no eigh and no miss.
     eig, warm = clamp_eig(wide, warm)
+    assert not calls and eig.eigenvalues.size == n
+    assert warm.basis is None and warm.vectors.shape == (n, n)
+    assert (warm.misses, warm.wait) == (0, 0)
+    # Other eigenvectors fail that check, and with no basis the call runs
+    # eigh and counts a miss.
+    other, _ = few_positive(rng, n, n // 3 - CLAMP_MARGIN + 1)
+    eig, warm = clamp_eig(other, warm)
     assert len(calls) == 1 and eig.eigenvalues.size == n
-    assert warm.basis is None and (warm.misses, warm.wait) == (1, 1)
+    assert warm.basis is None and warm.vectors is None and (warm.misses, warm.wait) == (1, 1)
 
 
 def test_clamp_eig_backs_off_while_the_warm_path_fails(monkeypatch):
-    a, _ = few_positive(np.random.default_rng(15), 60, 3)
-    attempts = []
+    # Two matrices with different eigenvectors, stepped in turn, so a due
+    # call's held eigenvectors, from the call before, never diagonalize it.
+    rng = np.random.default_rng(15)
+    mats = [few_positive(rng, 60, 3)[0] for _ in range(2)]
+    attempts, checks = [], []
+    held = linalg.held_eig
+    monkeypatch.setattr(linalg, "held_eig", lambda a, v: checks.append(held(a, v)))
     monkeypatch.setattr(linalg, "warm_positive_eig", lambda a, basis, *_: attempts.append(basis))
     warm, due, waits = WarmStart(), [], []
     for call in range(400):
         tried = len(attempts)
-        eig, warm = clamp_eig(a, warm)
-        assert eig.eigenvalues.size == a.shape[0] and warm.basis.shape == (60, 3 + CLAMP_MARGIN)
+        eig, warm = clamp_eig(mats[call % 2], warm)
+        assert eig.eigenvalues.size == 60 and warm.basis.shape == (60, 3 + CLAMP_MARGIN)
         if len(attempts) > tried:
             due.append(call)
             waits.append(warm.wait)
             assert warm.misses == len(due)
+    # Each due call first tried its held eigenvectors, which failed.
+    assert len(checks) == len(due) and all(c is None for c in checks)
     # Due calls wait 1, 2, 4, ... calls, up to MAX_WAIT; the first call skips.
     assert waits == [1, 2, 4, 8, 16, 32] + [MAX_WAIT] * 6
     assert due[0] == 1
     assert np.diff(due).tolist() == [w + 1 for w in waits[:-1]]
+
+
+def symmetric_circulant(rng, n):
+    """A random symmetric circulant, whose eigenvalues come in degenerate
+    pairs, about a third of them positive."""
+    row = rng.standard_normal(n // 2 + 1)
+    first = np.concatenate([row, row[1:(n + 1) // 2][::-1]])
+    c = np.array([np.roll(first, k) for k in range(n)])
+    return c - np.quantile(np.linalg.eigvalsh(c), 2 / 3) * np.eye(n)
+
+
+@pytest.mark.parametrize("shared", ["circulant", "random"])
+def test_held_eig_accepts_a_shared_eigenbasis(shared):
+    rng = np.random.default_rng(40)
+    n = 48
+    if shared == "circulant":
+        first, a = symmetric_circulant(rng, n), symmetric_circulant(rng, n)
+        # Every eigenvalue but those of the constant and alternating vectors
+        # is a degenerate pair, within which eigh picks any basis.
+        assert np.count_nonzero(np.diff(sym_eig(first).eigenvalues) < 1e-12) == n // 2 - 1
+    else:
+        first, q = few_positive(rng, n, 10)
+        a = symmetrize((q * rng.uniform(-2.0, 1.5, n)) @ q.T)
+    v = sym_eig(first).eigenvectors
+    eig = held_eig(a, v)
+    assert eig is not None
+    w, u = eig
+    assert np.all(np.diff(w) >= 0)
+    b = v.T @ a @ v
+    assert np.array_equal(np.sort(np.diag(b)), w)
+    assert np.array_equal(u, v[:, np.argsort(np.diag(b), kind="stable")])
+    off = fro_norm(b - np.diag(np.diag(b)))
+    assert off <= WARM_RTOL * max(1.0, fro_norm(a))
+    r = spectral_clamp(a, eig)
+    assert np.array_equal(r, r.T)
+    assert fro_norm(r - spectral_clamp(a)) <= off + 1e-12
+
+
+def test_held_eig_refuses_a_rotated_basis():
+    a, q = few_positive(np.random.default_rng(41), 40, 5)
+    assert held_eig(a, q) is not None
+    # A Givens rotation by 1e-6 mixes a positive and a negative eigenvector.
+    i, j, t = 39, 0, 1e-6
+    rotated = q.copy()
+    rotated[:, [i, j]] = q[:, [i, j]] @ np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    assert held_eig(a, rotated) is None
+
+
+@pytest.mark.parametrize("fault", ["nan", "inf"])
+def test_held_eig_refuses_non_finite_entries(fault):
+    a, q = few_positive(np.random.default_rng(42), 40, 5)
+    a[3, 7] = a[7, 3] = float(fault)
+    assert held_eig(a, q) is None
+
+
+def test_failed_held_check_falls_through_to_the_low_rank_path(monkeypatch):
+    a, q = few_positive(np.random.default_rng(43), 60, 3)
+    other = few_positive(np.random.default_rng(44), 60, 3)[1]
+    basis = q[:, -(3 + CLAMP_MARGIN):]
+    lo, hi = dense_bounds(sym_eig(a).eigenvalues)
+    calls = []
+    monkeypatch.setattr(linalg, "sym_eig", lambda m: calls.append(m) or sym_eig(m))
+    due = WarmStart(basis, misses=2, wait=0, lo=lo, hi=hi, vectors=other)
+    # The held check fails; the low-rank path certifies in the same call.
+    eig, warm = clamp_eig(a, due)
+    assert not calls and eig.eigenvalues.size == basis.shape[1]
+    assert (warm.misses, warm.wait) == (0, 0) and warm.vectors is None
+    # Only when both fail is the call a miss, which runs eigh.
+    eig, warm = clamp_eig(a, due._replace(basis=None))
+    assert len(calls) == 1 and eig.eigenvalues.size == 60
+    assert (warm.misses, warm.wait) == (3, 4) and warm.vectors is None
+    # A held result alone is no miss either.
+    monkeypatch.setattr(linalg, "warm_positive_eig", lambda *_: pytest.fail("low-rank path tried"))
+    eig, warm = clamp_eig(a, due._replace(vectors=q))
+    assert len(calls) == 1 and eig.eigenvalues.size == 60
+    assert (warm.misses, warm.wait) == (0, 0) and warm.vectors.shape == (60, 60)
 
 
 def test_clamp_eig_success_resets_misses():

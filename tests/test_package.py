@@ -40,7 +40,7 @@ def test_earlier_names_still_export():
 
 
 def test_clamp_internals_stay_in_linalg():
-    internals = {"Anchor", "clamp_eig", "warm_positive_eig"}
+    internals = {"Anchor", "clamp_eig", "held_eig", "warm_positive_eig"}
     assert not internals & set(sparsedm.__all__)
     for name in internals:
         assert hasattr(linalg, name), name

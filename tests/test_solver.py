@@ -296,26 +296,28 @@ CHAIN_H = build_kronig_penney(Grid1D(50.0, 96), HamiltonianSpec("kronig_penney",
 CHAIN_PARAMS = SolverParams(mu=100.0, n_occ=5, lam=10.0, r=10.0, tol=1e-6, max_iter=2000)
 
 
-def dense_solve(monkeypatch):
-    """solve with every warm clamp failing, so every step runs eigh."""
+def dense_solve(monkeypatch, H=CHAIN_H, params=CHAIN_PARAMS):
+    """solve with every held and low-rank clamp failing, so every step runs eigh."""
     with monkeypatch.context() as m:
+        m.setattr(linalg, "held_eig", lambda *_: None)
         m.setattr(linalg, "warm_positive_eig", lambda *_: None)
-        return solve(CHAIN_H, CHAIN_PARAMS)
+        return solve(H, params)
+
+
+def counted_solve(monkeypatch, H, params):
+    """solve, and the number of sym_eig calls its clamp made."""
+    calls = []
+    sym_eig = linalg.sym_eig
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "sym_eig", lambda a: calls.append(a.shape) or sym_eig(a))
+        return solve(H, params), len(calls)
 
 
 def test_most_chain_steps_take_the_warm_clamp(monkeypatch):
-    calls = []
-
-    def counting_eig(a):
-        calls.append(a.shape)
-        return sym_eig(a)
-
-    sym_eig = linalg.sym_eig
-    monkeypatch.setattr(linalg, "sym_eig", counting_eig)
-    res = solve(CHAIN_H, CHAIN_PARAMS)
+    res, eighs = counted_solve(monkeypatch, CHAIN_H, CHAIN_PARAMS)
     assert res.converged
     # The first steps, with half the spectrum positive, run eigh.
-    assert 1 <= len(calls) < res.iterations / 2
+    assert 1 <= eighs < res.iterations / 2
 
 
 def test_failing_warm_clamp_reproduces_dense_iterates_bitwise(monkeypatch):
@@ -342,6 +344,38 @@ def test_warm_solve_matches_dense_solve(monkeypatch):
     # to at most k times that; the final ||P + d||_F stands in for its maximum.
     bound = warm.iterations * math.sqrt(2) * WARM_RTOL * max(1.0, fro_norm(warm.P + warm.d))
     assert fro_norm(warm.P - dense.P) <= bound
+
+
+# The free Laplacian is circulant, so every iterate is: they share one
+# eigenbasis, which the first step's eigh finds.
+FREE_H = build_laplacian_1d(Grid1D(50.0, 64))
+
+
+@pytest.mark.parametrize("mu", [5.0, 100.0])
+def test_free_laplacian_solve_runs_one_eigh(monkeypatch, mu):
+    params = SolverParams(mu=mu, n_occ=5, lam=10.0, r=10.0, tol=1e-12, max_iter=200)
+    res, eighs = counted_solve(monkeypatch, FREE_H, params)
+    assert res.iterations == 200 and eighs == 1
+    dense = dense_solve(monkeypatch, FREE_H, params)
+    # Each held clamp is within WARM_RTOL max(1, ||P + d||_F) of eigh's; as
+    # in test_warm_solve_matches_dense_solve, k steps add up to k times that.
+    bound = res.iterations * math.sqrt(2) * WARM_RTOL * max(1.0, fro_norm(res.P + res.d))
+    assert fro_norm(res.P - dense.P) <= bound
+
+
+def test_held_eigenvectors_leave_the_chain_solve_bitwise_unchanged(monkeypatch):
+    # The chain's eigenbasis moves from step to step, so the held check
+    # never passes and the dense/low-rank schedule is the one without it.
+    checks = []
+    held = linalg.held_eig
+    monkeypatch.setattr(linalg, "held_eig", lambda a, v: checks.append(held(a, v)) or checks[-1])
+    res, eighs = counted_solve(monkeypatch, CHAIN_H, CHAIN_PARAMS)
+    assert checks and all(c is None for c in checks)
+    monkeypatch.setattr(linalg, "held_eig", lambda *_: None)
+    without, eighs_without = counted_solve(monkeypatch, CHAIN_H, CHAIN_PARAMS)
+    assert res.converged and res.iterations == without.iterations
+    assert eighs == eighs_without
+    assert np.array_equal(res.P, without.P)
 
 
 def test_clamp_basis_wider_than_a_third_is_not_stored(monkeypatch):

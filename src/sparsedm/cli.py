@@ -236,10 +236,10 @@ def load_config(path: str | Path, out_override: str | None = None) -> RunConfig:
 
 
 def _hamiltonian(cfg: RunConfig) -> np.ndarray:
-    """Build H and check n_occ, the diagnose sites and ritz_k against its
-    dimension, before any output is made. A from_file load error names
-    hamiltonian.path; a build error that starts with a spec or grid field
-    names its key."""
+    """Build H and check grid.n (for a from_file H), n_occ, the diagnose
+    sites and ritz_k against its dimension, before any output is made. A
+    from_file load error names hamiltonian.path; a build error that starts
+    with a spec or grid field names its key."""
     try:
         H = build_hamiltonian(cfg.ham, cfg.grid)
     except ValueError as exc:
@@ -247,6 +247,8 @@ def _hamiltonian(cfg: RunConfig) -> np.ndarray:
             raise ConfigError(f"{_key(HamiltonianSpec, 'path')}: {exc}") from None
         raise _keyed(exc, HamiltonianSpec, Grid1D) from None
     n = H.shape[0]
+    if cfg.grid is not None and cfg.grid.n != n:
+        raise ConfigError(f"{_key(Grid1D, 'n')} = {cfg.grid.n} but the Hamiltonian has dimension {n}")
     n_occ = cfg.runs[0].n_occ
     if n_occ > n:
         raise ConfigError(f"{_key(SolverParams, 'n_occ')} = {n_occ} exceeds the dimension {n}")

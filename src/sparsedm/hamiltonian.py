@@ -6,6 +6,7 @@ discretized with the periodic central second difference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform periodic grid on [0, length) with n points."""
+    """Uniform periodic grid on [0, length) with n >= 3 points; length is
+    positive and finite."""
 
     length: float
     n: int
@@ -34,8 +36,8 @@ class Grid1D:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError(f"n must be at least 3 grid points, got {self.n}")
-        if not self.length > 0:
-            raise ValueError(f"length must be positive, got {self.length}")
+        if not 0 < self.length < math.inf:
+            raise ValueError(f"length must be positive and finite, got {self.length}")
 
     @property
     def spacing(self) -> float:

@@ -123,11 +123,13 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 def require_symmetric(a, name: str = "matrix") -> np.ndarray:
     """Validate a dense symmetric matrix and return it exactly symmetric.
 
-    Checks squareness, finiteness, and symmetry up to
-    ``SYMMETRY_RTOL * max(1, max|A|)``. An exactly symmetric float64 array
-    is returned as is, with no copy; a near-symmetric one as its symmetrized
-    copy. Raises ValueError / AsymmetricMatrixError naming the offending input.
+    The gate for H, matrix files and starts: rejects complex input, checks
+    squareness, finiteness and symmetry up to ``SYMMETRY_RTOL * max(1, max|A|)``.
+    An exactly symmetric float64 array is returned as is, with no copy; a
+    near-symmetric one as its symmetrized copy. Errors name the input.
     """
+    if np.iscomplexobj(a):
+        raise ValueError(f"{name} is complex; a real symmetric matrix is required")
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")

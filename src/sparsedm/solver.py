@@ -66,8 +66,8 @@ class SolverParams:
 
     mu        : l1 penalty weight is 1/mu; math.inf disables the term.
     n_occ     : trace target N (number of occupied states), 0 < N <= n.
-    lam, r    : positive quadratic penalties coupling P to Q and R.
-    tol       : relative stopping tolerance on the residuals.
+    lam, r    : positive finite quadratic penalties coupling P to Q and R.
+    tol       : positive finite relative stopping tolerance on the residuals.
     max_iter  : iteration cap; hitting it yields converged=False.
     record_every : history sampling stride (the final step is always kept).
     """
@@ -83,14 +83,14 @@ class SolverParams:
     def __post_init__(self):
         if math.isnan(self.mu) or self.mu <= 0:
             raise ValueError(f"mu must be positive (inf allowed), got {self.mu}")
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if not self.r > 0:
-            raise ValueError(f"r must be positive, got {self.r}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        if not 0 < self.r < math.inf:
+            raise ValueError(f"r must be positive and finite, got {self.r}")
         if not self.n_occ > 0:
             raise ValueError(f"n_occ must be positive, got {self.n_occ}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.record_every < 1:
@@ -185,19 +185,15 @@ def feasibility(P: np.ndarray, n_occ: float) -> FeasibilityReport:
 
 
 def check_initial(initial, n: int, n_occ: float) -> np.ndarray:
-    """Validate a starting point and return its symmetrized copy.
+    """Validate a starting point and return it exactly symmetric.
 
-    It must be n x n, finite, and feasible within INITIAL_FEAS_TOL; the
-    violated constraint is named in the rejection.
+    It must pass ``require_symmetric`` (no copy if exactly symmetric), be n x n
+    and be feasible within INITIAL_FEAS_TOL; the violated constraint is named.
     """
-    start = np.asarray(initial, dtype=float)
+    start = require_symmetric(initial, name="initial matrix")
     if start.shape != (n, n):
         raise ValueError(f"initial matrix has shape {start.shape}, expected {(n, n)}")
-    if not np.all(np.isfinite(start)):
-        raise ValueError("initial matrix contains non-finite entries")
     rep = feasibility(start, n_occ)
-    if rep.asymmetry > INITIAL_FEAS_TOL:
-        raise ValueError(f"initial matrix is not symmetric (||P - P.T|| = {rep.asymmetry:.3e})")
     if rep.trace_error > INITIAL_FEAS_TOL:
         raise ValueError(
             f"initial matrix violates the trace constraint "
@@ -208,7 +204,7 @@ def check_initial(initial, n: int, n_occ: float) -> np.ndarray:
             f"initial matrix has eigenvalues outside [0, 1] "
             f"(below by {rep.eig_below:.3e}, above by {rep.eig_above:.3e})"
         )
-    return symmetrize(start)
+    return start
 
 
 def init_state(
@@ -216,7 +212,8 @@ def init_state(
 ) -> SolverState:
     """Starting point: P = Q = R = initial (default (N/n) I), b = d = 0.
 
-    A supplied initial matrix goes through ``check_initial``.
+    A supplied initial matrix goes through ``check_initial``; P may be that
+    matrix itself, which no step writes into.
     """
     n = H.shape[0]
     if params.n_occ > n:

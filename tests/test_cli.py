@@ -115,8 +115,11 @@ KP_CFG = (
 @pytest.mark.parametrize("key, value", [
     ("solver.mu", "0"),
     ("solver.lambda", "-1"),
+    ("solver.lambda", "inf"),
     ("solver.r", "0"),
+    ("solver.r", "inf"),
     ("solver.tol", "nan"),
+    ("solver.tol", "inf"),
     ("solver.max_iter", "0"),
     ("solver.record_every", "0"),
     ("solver.n_occ", "0"),
@@ -128,6 +131,7 @@ KP_CFG = (
     ("hamiltonian.n_wells", "0"),
     ("grid.n", "2"),
     ("grid.length", "0"),
+    ("grid.length", "inf"),
 ])
 def test_load_config_error_names_the_bad_key(tmp_path, key, value):
     lines = [line for line in KP_CFG.splitlines() if not line.startswith(key + " ")]
@@ -283,6 +287,9 @@ BAD_H_CASES = {
                              "solver.mu = 1\nsolver.n_occ = 1\n", "hamiltonian.path: "),
     "from_file_malformed": ("hamiltonian.kind = from_file\nhamiltonian.path = {malformed}\n"
                             "solver.mu = 1\nsolver.n_occ = 1\n", "hamiltonian.path: "),
+    "grid_n_mismatch": ("hamiltonian.kind = from_file\nhamiltonian.path = {H}\n"
+                        "grid.length = 10\ngrid.n = 8\nsolver.mu = 1\nsolver.n_occ = 1\n",
+                        "grid.n = 8"),
     "n_occ_missing": ("hamiltonian.kind = from_file\nhamiltonian.path = {H}\nsolver.mu = 1\n",
                       "solver.n_occ is required"),
 }
@@ -613,13 +620,17 @@ def test_missing_directory_key_fails_before_any_output(ex2_files, capsys, comman
     assert sorted(ex2_files.rglob("*")) == before
 
 
-@pytest.mark.parametrize("key, value", [("diagnose.sites", "0, 7"), ("diagnose.ritz_k", "9")])
+@pytest.mark.parametrize("key, value", [
+    ("diagnose.sites", "0, 7"), ("diagnose.ritz_k", "9"),
+    ("grid.n", "8"),  # H is 3 x 3
+])
 def test_bad_diagnose_index_fails_before_any_output(ex2_files, capsys, key, value):
     run = ex2_files / "run"
     run.mkdir()
     write_matrix(run / "P.mat", np.diag([1.0, 0.0, 0.0]))
     text = diag_cfg_text(ex2_files, run).replace("diagnose.sites = 0,2\n", "")
-    cfg = write_cfg(ex2_files / "d.cfg", text + f"{key} = {value}\n")
+    # A from_file H has a grid only when grid.n is given too.
+    cfg = write_cfg(ex2_files / "d.cfg", text + f"grid.length = 10\n{key} = {value}\n")
     assert main(["diagnose", "--config", cfg]) == 1
     assert f"error: {key}" in capsys.readouterr().err
     assert sorted(path.name for path in run.iterdir()) == ["P.mat"]

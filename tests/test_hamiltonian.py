@@ -23,7 +23,7 @@ def test_grid_spacing_and_points():
     assert x[-1] == pytest.approx(100.0 - grid.spacing)
 
 
-@pytest.mark.parametrize("length,n", [(100.0, 2), (0.0, 16), (-5.0, 16)])
+@pytest.mark.parametrize("length,n", [(100.0, 2), (0.0, 16), (-5.0, 16), (np.inf, 16)])
 def test_grid_rejects_bad_parameters(length, n):
     with pytest.raises(ValueError):
         Grid1D(length=length, n=n)

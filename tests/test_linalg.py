@@ -64,7 +64,7 @@ def test_require_symmetric_rejects_asymmetry():
 @pytest.mark.parametrize(
     "bad",
     [np.zeros((2, 3)), np.zeros(4), np.zeros((0, 0)), np.array([[1.0, np.nan], [np.nan, 1.0]]),
-     np.diag([np.inf, 1.0, 2.0])],
+     np.diag([np.inf, 1.0, 2.0]), np.eye(2) * (1 + 1e-3j)],
 )
 def test_require_symmetric_rejects_malformed(bad):
     with pytest.raises(ValueError):

@@ -47,6 +47,9 @@ from helpers import (
         dict(mu=1.0, n_occ=1, lam=0.0),
         dict(mu=1.0, n_occ=1, r=-1.0),
         dict(mu=1.0, n_occ=1, tol=0.0),
+        dict(mu=1.0, n_occ=1, lam=math.inf),
+        dict(mu=1.0, n_occ=1, r=math.inf),
+        dict(mu=1.0, n_occ=1, tol=math.inf),
         dict(mu=1.0, n_occ=1, max_iter=0),
         dict(mu=1.0, n_occ=1, record_every=0),
     ],
@@ -89,6 +92,27 @@ def test_init_rejects_infeasible_start():
         init_state(h, params, initial=np.diag([2.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="shape"):
         init_state(h, params, initial=np.eye(3) * (2 / 3))
+    with pytest.raises(ValueError, match="complex"):
+        init_state(h, params, initial=np.eye(4) * (0.5 + 0j))
+    # An asymmetry of 1e-10 exceeds the gate's 1e-12 * max(1, max|P|).
+    near = np.eye(4) * 0.5
+    near[0, 1] = 1e-10
+    with pytest.raises(ValueError, match="asymmetric"):
+        init_state(h, params, initial=near)
+
+
+def test_init_uses_a_symmetric_start_as_is_and_symmetrizes_a_near_one():
+    h, params = np.zeros((4, 4)), SolverParams(mu=1.0, n_occ=2)
+    p0 = random_feasible(np.random.default_rng(7), 4, 2)
+    state = init_state(h, params, p0)
+    assert np.shares_memory(state.P, p0)
+    assert not np.shares_memory(state.Q, p0) and not np.shares_memory(state.R, p0)
+    near = p0.copy()
+    near[0, 1] = np.nextafter(near[0, 1], math.inf)
+    start = init_state(h, params, near).P
+    assert np.array_equal(start, start.T)
+    assert np.array_equal(start, linalg.symmetrize(near))
+    assert not np.shares_memory(start, near)
 
 
 def non_finite_starts():

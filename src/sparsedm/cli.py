@@ -35,6 +35,7 @@ from .diagnostics import (
     delta_projections,
     energy_gap_metrics,
     exact_density_matrix,
+    occupation_numbers,
     ritz_compare,
     space_approximation,
     sparsity_fraction,
@@ -189,7 +190,10 @@ def _check_run_dirs(runs: tuple[SolverParams, ...]) -> None:
 
 
 def load_config(path: str | Path, out_override: str | None = None) -> RunConfig:
-    """Read and validate a config file; out_override replaces its output directory."""
+    """Read and validate a config file; out_override replaces its output directory.
+
+    Each key group holds every key its class needs, or none: hamiltonian.*
+    and solver.* are required, grid.* too unless the kind is from_file."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -206,28 +210,22 @@ def load_config(path: str | Path, out_override: str | None = None) -> RunConfig:
             values[cls][field] = parse(raw)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from None
-    for cls in (HamiltonianSpec, SolverParams):
+    for cls in (HamiltonianSpec, SolverParams, Grid1D, SaddlePoint):
+        given = [key for key in entries if KEYS[key][0] is cls]
         missing = _missing(cls, values[cls])
-        if missing:
-            raise ConfigError(f"{missing[0]} is required")
+        if missing and (given or cls in (HamiltonianSpec, SolverParams)):
+            raise ConfigError(f"{missing[0]} is required" + (f" with {given[0]}" if given else ""))
 
     ham = _build(HamiltonianSpec, values[HamiltonianSpec])
-    grid = None
-    missing = _missing(Grid1D, values[Grid1D])
-    if not missing:
-        grid = _build(Grid1D, values[Grid1D])
-    elif ham.kind != "from_file":
-        raise ConfigError(f"{missing[0]} is required for kind {ham.kind}")
+    grid = _build(Grid1D, values[Grid1D]) if values[Grid1D] else None
+    if grid is None and ham.kind != "from_file":
+        raise ConfigError(f"{_missing(Grid1D, {})[0]} is required for kind {ham.kind}")
 
     solver = values[SolverParams]
     runs = tuple(_build(SolverParams, {**solver, "mu": mu}) for mu in solver["mu"])
     _check_run_dirs(runs)
 
     saddle = values[SaddlePoint]
-    if saddle and _missing(SaddlePoint, saddle):
-        keys = [key for key, (cls, _, _) in KEYS.items() if cls is SaddlePoint]
-        raise ConfigError(f"{', '.join(keys)} must be given together")
-
     run = values[RunConfig]
     if out_override:
         run["out_dir"] = Path(out_override)
@@ -473,7 +471,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     # n x n decomposition is held at a time.
     h_eig = SpectralDecomposition(h_eig.eigenvalues, np.empty((n, 0)))
     p_eig = sym_eig(P)
-    write_occupation_csv(out / "occupation.csv", p_eig.eigenvalues[::-1])
+    write_occupation_csv(out / "occupation.csv", occupation_numbers(P, p_eig=p_eig).values)
 
     sites = cfg.sites if cfg.sites is not None else (n // 2,)
     xs = cfg.grid.points() if cfg.grid is not None else np.arange(n, dtype=float)

@@ -120,9 +120,10 @@ def space_approximation(
 def occupation_numbers(
     P: np.ndarray, *, p_eig: SpectralDecomposition | None = None
 ) -> OccupationSpectrum:
-    """Eigen-decomposition of P sorted by descending occupation."""
+    """Eigen-decomposition of P sorted by descending occupation. basis is
+    a reversed view of the eigenvectors (of p_eig's, when given), not a copy."""
     w, v = _eig(P, p_eig)
-    return OccupationSpectrum(values=w[::-1].copy(), basis=v[:, ::-1].copy())
+    return OccupationSpectrum(values=w[::-1].copy(), basis=v[:, ::-1])
 
 
 def filtered_density_matrix(spec: OccupationSpectrum, lo: int, hi: int) -> np.ndarray:

@@ -96,6 +96,24 @@ def test_load_config_rejects_partial_saddle_reference(ex2_files):
         load_config(cfg)
 
 
+@pytest.mark.parametrize("given, message", [
+    ("grid.n = 8\n", "grid.length is required with grid.n"),
+    ("grid.length = 10\n", "grid.n is required with grid.length"),
+    ("saddle.p = {Ps}\n", "saddle.q is required with saddle.p"),
+    ("saddle.d = {ds}\nsaddle.p = {Ps}\nsaddle.q = {Qs}\nsaddle.r = {Rs}\n",
+     "saddle.b is required with saddle.d"),
+], ids=["grid.n", "grid.length", "saddle.p", "saddle.d-p-q-r"])
+def test_load_config_names_the_first_missing_key_of_a_partial_group(ex2_files, given, message):
+    paths = {name: ex2_files / f"{name}.mat" for name in ("Ps", "Qs", "Rs", "ds")}
+    cfg = write_cfg(
+        ex2_files / "c.cfg",
+        f"hamiltonian.kind = from_file\nhamiltonian.path = {ex2_files / 'H.mat'}\n"
+        "solver.mu = 1\nsolver.n_occ = 1\n" + given.format(**paths),
+    )
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_config(cfg)
+
+
 def test_load_config_rejects_missing_file(tmp_path):
     cfg = write_cfg(
         tmp_path / "c.cfg",
@@ -290,6 +308,12 @@ BAD_H_CASES = {
     "grid_n_mismatch": ("hamiltonian.kind = from_file\nhamiltonian.path = {H}\n"
                         "grid.length = 10\ngrid.n = 8\nsolver.mu = 1\nsolver.n_occ = 1\n",
                         "grid.n = 8"),
+    "grid_n_alone": ("hamiltonian.kind = from_file\nhamiltonian.path = {H}\n"
+                     "grid.n = 8\nsolver.mu = 1\nsolver.n_occ = 1\n",
+                     "grid.length is required"),
+    "grid_length_alone": ("hamiltonian.kind = from_file\nhamiltonian.path = {H}\n"
+                          "grid.length = 10\nsolver.mu = 1\nsolver.n_occ = 1\n",
+                          "grid.n is required"),
     "n_occ_missing": ("hamiltonian.kind = from_file\nhamiltonian.path = {H}\nsolver.mu = 1\n",
                       "solver.n_occ is required"),
 }
@@ -629,8 +653,9 @@ def test_bad_diagnose_index_fails_before_any_output(ex2_files, capsys, key, valu
     run.mkdir()
     write_matrix(run / "P.mat", np.diag([1.0, 0.0, 0.0]))
     text = diag_cfg_text(ex2_files, run).replace("diagnose.sites = 0,2\n", "")
-    # A from_file H has a grid only when grid.n is given too.
-    cfg = write_cfg(ex2_files / "d.cfg", text + f"grid.length = 10\n{key} = {value}\n")
+    # grid.n needs grid.length, its group's other key.
+    grid = "grid.length = 10\n" if key == "grid.n" else ""
+    cfg = write_cfg(ex2_files / "d.cfg", text + f"{grid}{key} = {value}\n")
     assert main(["diagnose", "--config", cfg]) == 1
     assert f"error: {key}" in capsys.readouterr().err
     assert sorted(path.name for path in run.iterdir()) == ["P.mat"]

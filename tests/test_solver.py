@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -322,10 +323,7 @@ CHAIN_PARAMS = SolverParams(mu=100.0, n_occ=5, lam=10.0, r=10.0, tol=1e-6, max_i
 
 def dense_solve(monkeypatch, H=CHAIN_H, params=CHAIN_PARAMS):
     """solve with every held and low-rank clamp failing, so every step runs eigh."""
-    with monkeypatch.context() as m:
-        m.setattr(linalg, "held_eig", lambda *_: None)
-        m.setattr(linalg, "warm_positive_eig", lambda *_: None)
-        return solve(H, params)
+    return path_solve(monkeypatch, H, params, dense=True)[0]
 
 
 def counted_solve(monkeypatch, H, params):
@@ -335,6 +333,15 @@ def counted_solve(monkeypatch, H, params):
     with monkeypatch.context() as m:
         m.setattr(linalg, "sym_eig", lambda a: calls.append(a.shape) or sym_eig(a))
         return solve(H, params), len(calls)
+
+
+def path_solve(monkeypatch, H, params, dense):
+    """counted_solve; when dense, every held and low-rank clamp fails."""
+    with monkeypatch.context() as m:
+        if dense:
+            m.setattr(linalg, "held_eig", lambda *_: None)
+            m.setattr(linalg, "warm_positive_eig", lambda *_: None)
+        return counted_solve(m, H, params)
 
 
 def test_most_chain_steps_take_the_warm_clamp(monkeypatch):
@@ -453,3 +460,61 @@ def test_chain_solve_factors_once_per_ten_warm_steps_at_most(monkeypatch):
     monkeypatch.setattr(linalg, "warm_positive_eig", lambda *args: attempts.append(1) or warm(*args))
     assert solve(CHAIN_H, CHAIN_PARAMS).converged
     assert attempts and len(factors) <= len(attempts) / 10
+
+
+# The problem's exact symmetries: a shift of H by cI (the trace projection
+# absorbs it), a scale of H with 1/mu, lam and r scaled alike (the whole
+# iteration scales), and a relabelling of the sites (the l1 term and the
+# spectrum do not change). Each maps H and the parameters, and gives the
+# map that takes the transformed run's P back to the original sites.
+def _scaled(params, s):
+    return dataclasses.replace(params, mu=params.mu / s, lam=params.lam * s, r=params.r * s)
+
+
+def _permuted(H, params):
+    perm = np.random.default_rng(0).permutation(len(H))
+    back = np.argsort(perm)
+    return H[np.ix_(perm, perm)], params, lambda P: P[np.ix_(back, back)]
+
+
+SYMMETRIES = {
+    "shift_3": lambda H, p: (H + 3 * np.eye(len(H)), p, lambda P: P),
+    "shift_-1000": lambda H, p: (H - 1000 * np.eye(len(H)), p, lambda P: P),
+    "scale_4": lambda H, p: (4 * H, _scaled(p, 4), lambda P: P),
+    "scale_1e6": lambda H, p: (1e6 * H, _scaled(p, 1e6), lambda P: P),
+    "permute": _permuted,
+    "roll_7": lambda H, p: (np.roll(H, (7, 7), (0, 1)), p, lambda P: np.roll(P, (-7, -7), (0, 1))),
+}
+
+# name -> (H, params, dense). The chain's clamp takes low-rank and dense
+# steps, or only dense ones; the free Laplacian's takes the held eigenbasis
+# after its one eigh (and stops at max_iter).
+SYMMETRY_RUNS = {
+    "chain": (CHAIN_H, CHAIN_PARAMS, False),
+    "chain_dense": (CHAIN_H, CHAIN_PARAMS, True),
+    "free_held": (build_laplacian_1d(Grid1D(32.0, 64)),
+                  SolverParams(mu=10.0, n_occ=5, lam=10.0, r=10.0, max_iter=300), False),
+}
+
+
+@pytest.fixture(scope="module")
+def symmetry_references():
+    """Each of SYMMETRY_RUNS solved once, with its sym_eig count."""
+    with pytest.MonkeyPatch.context() as m:
+        return {run: path_solve(m, *args) for run, args in SYMMETRY_RUNS.items()}
+
+
+@pytest.mark.parametrize("symmetry", sorted(SYMMETRIES))
+@pytest.mark.parametrize("run", sorted(SYMMETRY_RUNS))
+def test_solve_keeps_the_symmetries_of_the_problem(monkeypatch, symmetry_references, run, symmetry):
+    H, params, dense = SYMMETRY_RUNS[run]
+    ref, ref_eighs = symmetry_references[run]
+    H, params, back = SYMMETRIES[symmetry](H, params)
+    res, eighs = path_solve(monkeypatch, H, params, dense)
+    assert (res.iterations, eighs) == (ref.iterations, ref_eighs)
+    if symmetry == "scale_4":  # a power of two scales every float exactly
+        assert np.array_equal(back(res.P), ref.P)
+    else:
+        # The largest change measured was 8.7e-15 (shift_-1000, chain_dense),
+        # against 1.0e-15 for every other case: a margin of about 10.
+        assert np.max(np.abs(back(res.P) - ref.P)) <= 1e-13

@@ -6,14 +6,13 @@ a per-row ``float()`` parse only for a file numpy rejects.
 
 Matrices are plain float64 numpy arrays of shape (n, n). The kernels
 preserve the exact symmetry of symmetric input: entrywise and diagonal
-maps do so by construction, and ``spectral_clamp``, whose matrix product
-does not, ends with the symmetrization ``(A + A.T) / 2``, which is
-bitwise symmetric under IEEE arithmetic. That holds on each of its
-three paths, between which ``clamp_eig`` picks: the full ``sym_eig``, the
-last full eigenbasis reused by ``held_eig`` while it still diagonalizes
-the matrix, and the certified low-rank pairs of ``warm_positive_eig``.
-Downstream code may therefore rely on ``A[i, j] == A[j, i]`` exactly for
-outputs of symmetric input.
+maps do so by construction, and the clamp's result and certificate are Gram
+products ``x @ x.T``, which numpy forms as one triangle (BLAS syrk) and its
+mirror, so no step runs ``symmetrize``. That holds on the three paths that
+``clamp_eig`` picks from: the full ``sym_eig``, the last full eigenbasis
+reused by ``held_eig`` while it still diagonalizes the matrix, and the
+certified low-rank pairs of ``warm_positive_eig``. Downstream code may rely
+on ``A[i, j] == A[j, i]`` exactly for outputs of symmetric input.
 
 The two certified paths pay only for the certainty the spectrum needs:
 the held basis costs two matrix products and no eigensolve, the low-rank
@@ -190,12 +189,12 @@ def spectral_clamp(a: np.ndarray, eig: SpectralDecomposition | None = None) -> n
 
     eig, when given, replaces ``sym_eig(a)``: either that full decomposition,
     which gives bitwise the same result, or the pairs of ``warm_positive_eig``.
-    The product runs over the positive pairs only; the others clip to 0.
+    It is x x^T, x = v sqrt(min(w, 1)) on the positive pairs; the rest clip to 0.
     """
     w, v = sym_eig(a) if eig is None else eig
     pos = w > 0.0
-    v = v[:, pos]
-    return symmetrize((v * np.minimum(w[pos], 1.0)) @ v.T)
+    x = v[:, pos] * np.sqrt(np.minimum(w[pos], 1.0))
+    return x @ x.T
 
 
 def held_eig(a: np.ndarray, v: np.ndarray) -> SpectralDecomposition | None:
@@ -239,8 +238,9 @@ def warm_positive_eig(
       - S = U+ (Theta+ + I) U+^T - A is positive definite: then
         x^T A x < 0 for every x orthogonal to U+, so no positive eigenvalue
         lies outside span U+ (Sylvester's law of inertia).
-    S is about I on span U+ and about -A on its complement. It is proved
-    positive definite in one of two ways:
+    S is about I on span U+ and about -A on its complement. Formed as z z^T - A,
+    z = U+ sqrt(Theta+ + I), S is exactly symmetric, so Cholesky, Sylvester
+    and Weyl apply to the matrix computed. It is proved positive definite:
       - by the anchor, with no factorization, when
         ||S - anchor.delta I - anchor.m||_F < anchor.delta: by Weyl's
         inequality lambda_min(S) >= anchor.delta - ||S - anchor.delta I -
@@ -280,7 +280,8 @@ def warm_positive_eig(
     if not fro_norm((aq @ w)[:, pos] - u_pos * theta_pos) <= WARM_RTOL * scale:
         return None
     eig = SpectralDecomposition(theta, u)
-    s = (u_pos * (theta_pos + 1.0)) @ u_pos.T
+    z = u_pos * np.sqrt(theta_pos + 1.0)
+    s = z @ z.T
     s -= a
     stride = s.shape[0] + 1  # of the diagonal in s.flat
     if anchor is not None:
@@ -318,13 +319,13 @@ def clamp_eig(a: np.ndarray, warm: WarmStart) -> tuple[SpectralDecomposition, Wa
     result of either resets the misses; a call that gets neither, for want
     of vectors and basis or by failed checks, is the m-th miss, and the
     next min(2^(m-1), MAX_WAIT) calls skip. Other calls run ``sym_eig``.
-    A full spectrum, dense or held, gives the lo and hi of the low-rank
-    calls until the next full one: its smallest eigenvalue, widened by
-    LO_WIDEN, and its largest non-positive one. Its eigenvectors are held
-    only when the next call is due, as no other call reads them. The
-    anchor passes from each low-rank call to the next. The next basis is
-    the positive eigen- or Ritz vectors plus CLAMP_MARGIN more, or None
-    past n / 3 columns, where eigh costs about as much.
+    Only the misses, the wait and the anchor pass to a skipped call, which
+    reads nothing else. Else a full spectrum, dense or held, is held, with
+    the lo and hi of the low-rank calls until the next full one: its
+    smallest eigenvalue, widened by LO_WIDEN, and its largest non-positive
+    one. The anchor passes from each low-rank call to the next. The next
+    basis is the positive eigen- or Ritz vectors plus CLAMP_MARGIN more, or
+    None past n / 3 columns, where eigh costs about as much.
     """
     basis, misses, wait, lo, hi, anchor, vectors = warm
     eig = None
@@ -340,14 +341,15 @@ def clamp_eig(a: np.ndarray, warm: WarmStart) -> tuple[SpectralDecomposition, Wa
         wait = min(2 ** (misses - 1), MAX_WAIT)
     if eig is None:
         eig = sym_eig(a)
+    if wait:
+        return eig, WarmStart(misses=misses, wait=wait, anchor=anchor)
     w = eig.eigenvalues
     vectors = None
     if w.size == a.shape[0]:  # a full spectrum; a low-rank one is at most n / 3 wide
         nonpos = w[w <= 0.0]
         lo = LO_WIDEN * float(w[0])
         hi = float(nonpos[-1]) if nonpos.size else 0.0
-        if not wait:
-            vectors = eig.eigenvectors
+        vectors = eig.eigenvectors
     # A low-rank result has only the old basis's columns.
     width = min(np.count_nonzero(w > 0) + CLAMP_MARGIN, w.size)
     basis = eig.eigenvectors[:, -width:].copy() if width <= a.shape[0] / 3 else None

@@ -363,6 +363,42 @@ def test_spectral_clamp_given_full_decomposition_is_bitwise_dense():
     assert np.array_equal(spectral_clamp(a, sym_eig(a)), spectral_clamp(a))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 100, 257])
+@pytest.mark.parametrize("positive", ["none", "one", "some", "all"])
+def test_spectral_clamp_is_bitwise_symmetric(n, positive):
+    # R is the Gram product x x^T, which numpy forms from one triangle; no
+    # symmetrization repairs it.
+    rng = np.random.default_rng(n)
+    p = {"none": 0, "one": 1, "some": max(1, n // 3), "all": n}[positive]
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    # p positive eigenvalues from 1.5 down to 0.2, the rest negative.
+    a = symmetrize((q * np.concatenate([np.linspace(1.5, 0.2, p), -rng.uniform(0.05, 2.0, n - p)])) @ q.T)
+    w, v = eig = sym_eig(a)
+    assert np.count_nonzero(w > 0) == p and (p == 0 or w[-1] > 1)
+    r = spectral_clamp(a, eig)
+    assert np.array_equal(r, r.T)
+    # The same pairs in another column order, a strided copy as held_eig
+    # hands them.
+    order = rng.permutation(n)
+    permuted = SpectralDecomposition(w[order], v[:, order])
+    assert n == 1 or not permuted.eigenvectors.flags.c_contiguous
+    r = spectral_clamp(a, permuted)
+    assert np.array_equal(r, r.T)
+
+
+@pytest.mark.parametrize("n, p", [(30, 0), (60, 1), (96, 8), (150, 20)])
+def test_low_rank_clamp_and_its_certificate_are_bitwise_symmetric(monkeypatch, n, p):
+    a, q = few_positive(np.random.default_rng(n), n, p)
+    factored = []
+    has_cholesky = linalg._has_cholesky
+    monkeypatch.setattr(linalg, "_has_cholesky",
+                        lambda s: factored.append(np.array_equal(s, s.T)) or has_cholesky(s))
+    found = warm_positive_eig(a, q[:, -(p + CLAMP_MARGIN):], *dense_bounds(sym_eig(a).eigenvalues))
+    assert found is not None and factored and all(factored)
+    r = spectral_clamp(a, found[0])
+    assert np.array_equal(r, r.T)
+
+
 @pytest.mark.parametrize("n, p", [(60, 3), (96, 8), (120, 12)])
 @pytest.mark.parametrize("eps", [1e-8, 1e-4])
 def test_warm_clamp_within_residual_bound_of_dense(n, p, eps):
@@ -474,7 +510,12 @@ def test_clamp_eig_backs_off_while_the_warm_path_fails(monkeypatch):
     for call in range(400):
         tried = len(attempts)
         eig, warm = clamp_eig(mats[call % 2], warm)
-        assert eig.eigenvalues.size == 60 and warm.basis.shape == (60, 3 + CLAMP_MARGIN)
+        assert eig.eigenvalues.size == 60
+        # A basis is handed on exactly when the next call is due.
+        if warm.wait:
+            assert warm.basis is None and warm.vectors is None
+        else:
+            assert warm.basis.shape == (60, 3 + CLAMP_MARGIN)
         if len(attempts) > tried:
             due.append(call)
             waits.append(warm.wait)

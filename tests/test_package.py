@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import sparsedm
 from sparsedm import diagnostics, hamiltonian, linalg, solver
 
@@ -44,3 +49,13 @@ def test_clamp_internals_stay_in_linalg():
     assert not internals & set(sparsedm.__all__)
     for name in internals:
         assert hasattr(linalg, name), name
+
+
+def test_the_package_loads_no_scipy():
+    # scipy is no dependency of the package; a stray import would go unseen
+    # wherever scipy happens to be installed.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, sparsedm, sparsedm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

@@ -321,9 +321,13 @@ CHAIN_H = build_kronig_penney(Grid1D(50.0, 96), HamiltonianSpec("kronig_penney",
 CHAIN_PARAMS = SolverParams(mu=100.0, n_occ=5, lam=10.0, r=10.0, tol=1e-6, max_iter=2000)
 
 
+# The clamp paths that path_solve makes fail so that every step runs eigh.
+DENSE = ("held_eig", "warm_positive_eig")
+
+
 def dense_solve(monkeypatch, H=CHAIN_H, params=CHAIN_PARAMS):
     """solve with every held and low-rank clamp failing, so every step runs eigh."""
-    return path_solve(monkeypatch, H, params, dense=True)[0]
+    return path_solve(monkeypatch, H, params, DENSE)[0]
 
 
 def counted_solve(monkeypatch, H, params):
@@ -335,12 +339,12 @@ def counted_solve(monkeypatch, H, params):
         return solve(H, params), len(calls)
 
 
-def path_solve(monkeypatch, H, params, dense):
-    """counted_solve; when dense, every held and low-rank clamp fails."""
+def path_solve(monkeypatch, H, params, failing=()):
+    """counted_solve with the clamp paths named in failing, of "held_eig" and
+    "warm_positive_eig", failing on every call."""
     with monkeypatch.context() as m:
-        if dense:
-            m.setattr(linalg, "held_eig", lambda *_: None)
-            m.setattr(linalg, "warm_positive_eig", lambda *_: None)
+        for name in failing:
+            m.setattr(linalg, name, lambda *_: None)
         return counted_solve(m, H, params)
 
 
@@ -364,6 +368,34 @@ def test_failing_warm_clamp_reproduces_dense_iterates_bitwise(monkeypatch):
         b, d = b + P - Q, d + P - R
     for got, want in zip((res.P, res.Q, res.R, res.b, res.d), (P, Q, R, b, d)):
         assert np.array_equal(got, want)
+
+
+def test_chain_solve_clamps_to_exactly_symmetric_matrices(monkeypatch):
+    # R = x x^T and the certificate S = z z^T - (P + d) are built on Gram
+    # products, which numpy forms from one triangle, so no step repairs them.
+    factored, clamped = [], []
+    has_cholesky = linalg._has_cholesky
+    monkeypatch.setattr(linalg, "_has_cholesky",
+                        lambda s: factored.append(np.array_equal(s, s.T)) or has_cholesky(s))
+
+    def checked_clamp(a, eig):
+        r = spectral_clamp(a, eig)
+        clamped.append(np.array_equal(r, r.T))
+        return r
+
+    monkeypatch.setattr("sparsedm.solver.spectral_clamp", checked_clamp)
+    res = solve(CHAIN_H, CHAIN_PARAMS)
+    assert res.converged and factored and all(factored)
+    assert len(clamped) == res.iterations and all(clamped)
+
+
+def test_chain_solve_calls_symmetrize_zero_times(monkeypatch):
+    calls = []
+    symmetrize = linalg.symmetrize
+    for target in ("sparsedm.linalg.symmetrize", "sparsedm.solver.symmetrize"):
+        monkeypatch.setattr(target, lambda a: calls.append(a.shape) or symmetrize(a))
+    assert solve(CHAIN_H, CHAIN_PARAMS).converged
+    assert not calls
 
 
 def test_warm_solve_matches_dense_solve(monkeypatch):
@@ -486,14 +518,17 @@ SYMMETRIES = {
     "roll_7": lambda H, p: (np.roll(H, (7, 7), (0, 1)), p, lambda P: np.roll(P, (-7, -7), (0, 1))),
 }
 
-# name -> (H, params, dense). The chain's clamp takes low-rank and dense
-# steps, or only dense ones; the free Laplacian's takes the held eigenbasis
-# after its one eigh (and stops at max_iter).
+# name -> (H, params, failing clamp paths). The chain's clamp takes low-rank
+# and dense steps, or only dense ones; the free Laplacian's takes the held
+# eigenbasis after its one eigh, or with the held path failing the low-rank
+# one after 11 eighs (both stop at max_iter).
+FREE_64 = build_laplacian_1d(Grid1D(32.0, 64))
 SYMMETRY_RUNS = {
-    "chain": (CHAIN_H, CHAIN_PARAMS, False),
-    "chain_dense": (CHAIN_H, CHAIN_PARAMS, True),
-    "free_held": (build_laplacian_1d(Grid1D(32.0, 64)),
-                  SolverParams(mu=10.0, n_occ=5, lam=10.0, r=10.0, max_iter=300), False),
+    "chain": (CHAIN_H, CHAIN_PARAMS, ()),
+    "chain_dense": (CHAIN_H, CHAIN_PARAMS, DENSE),
+    "free_held": (FREE_64, SolverParams(mu=10.0, n_occ=5, lam=10.0, r=10.0, max_iter=300), ()),
+    "free_low_rank": (FREE_64, SolverParams(mu=100.0, n_occ=5, lam=10.0, r=10.0, max_iter=300),
+                      ("held_eig",)),
 }
 
 
@@ -504,17 +539,23 @@ def symmetry_references():
         return {run: path_solve(m, *args) for run, args in SYMMETRY_RUNS.items()}
 
 
+def test_free_laplacian_without_the_held_path_takes_the_low_rank_one(symmetry_references):
+    res, eighs = symmetry_references["free_low_rank"]
+    assert res.iterations == 300 and eighs < res.iterations / 10
+
+
 @pytest.mark.parametrize("symmetry", sorted(SYMMETRIES))
 @pytest.mark.parametrize("run", sorted(SYMMETRY_RUNS))
 def test_solve_keeps_the_symmetries_of_the_problem(monkeypatch, symmetry_references, run, symmetry):
-    H, params, dense = SYMMETRY_RUNS[run]
+    H, params, failing = SYMMETRY_RUNS[run]
     ref, ref_eighs = symmetry_references[run]
     H, params, back = SYMMETRIES[symmetry](H, params)
-    res, eighs = path_solve(monkeypatch, H, params, dense)
+    res, eighs = path_solve(monkeypatch, H, params, failing)
     assert (res.iterations, eighs) == (ref.iterations, ref_eighs)
     if symmetry == "scale_4":  # a power of two scales every float exactly
         assert np.array_equal(back(res.P), ref.P)
     else:
-        # The largest change measured was 8.7e-15 (shift_-1000, chain_dense),
-        # against 1.0e-15 for every other case: a margin of about 10.
+        # The largest change measured was 1.2e-14 (shift_-1000, chain_dense),
+        # 3.9e-15 to 1.1e-14 for shift_-1000 on the other runs and at most
+        # 9.2e-16 for every other case: a margin of about 8.
         assert np.max(np.abs(back(res.P) - ref.P)) <= 1e-13

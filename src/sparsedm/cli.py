@@ -1,11 +1,11 @@
 """Command-line driver: build a Hamiltonian, run the solver, and emit
 matrices and CSV reports for later plotting.
 
-Subcommands: solve (one run), sweep (several mu values, optionally in
-parallel threads), exact (eigensolver reference projector), diagnose
-(measurements on a finished run). Configuration is a flat text file of
-`key = value` lines with dotted keys; KEYS lists them all, and the
-README has an example.
+Subcommands: solve (one run), sweep (several mu values on a thread pool
+with one worker per CPU in the process's affinity, at most one per mu),
+exact (eigensolver reference projector), diagnose (measurements on a
+finished run). Configuration is a flat text file of `key = value` lines
+with dotted keys; KEYS lists them all, and the README has an example.
 
 Exit codes: 0 success, 1 bad input, 2 solver hit max_iter (for sweeps:
 at least one run did).
@@ -272,20 +272,19 @@ def _load_square(key: str, path: Path, n: int) -> np.ndarray:
 def _start_inputs(cfg: RunConfig, H: np.ndarray) -> tuple[SolverState | None, SaddlePoint | None]:
     """The start state built from the initial matrix, and the saddle
     reference, loaded and checked once per command, before any output is
-    made. Every run starts from that one state (they share n_occ), so no
-    solve checks the initial matrix again."""
-    n = H.shape[0]
+    made. ``init_state`` checks the initial matrix (``check_initial``: its
+    shape, symmetry and feasibility), and a load or check error names
+    initial.path. Every run starts from that one state (they share n_occ),
+    so no solve checks the initial matrix again."""
     start = saddle = None
     if cfg.initial_path is not None:
-        key = _key(RunConfig, "initial_path")
-        initial = _load_square(key, cfg.initial_path, n)
         try:
-            start = init_state(H, cfg.runs[0], initial)
+            start = init_state(H, cfg.runs[0], load_matrix(cfg.initial_path))
         except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
+            raise ConfigError(f"{_key(RunConfig, 'initial_path')}: {exc}") from None
     if cfg.saddle_paths is not None:
         saddle = SaddlePoint(*(
-            _load_square(_key(SaddlePoint, field), path, n)
+            _load_square(_key(SaddlePoint, field), path, H.shape[0])
             for field, path in zip(SaddlePoint._fields, cfg.saddle_paths)
         ))
     return start, saddle

@@ -56,13 +56,9 @@ SYMMETRY_RTOL = 1e-12
 # mass.
 FILTER_DEGREE = 12
 WARM_RTOL = 1e-10
-# clamp_eig: basis columns kept past the positive ones, the longest wait, and
-# the factor that widens the last full spectrum's lowest eigenvalue into the
-# filter's lower end, which then holds for the low-rank calls until the next
-# full one.
+# clamp_eig: basis columns kept past the positive ones, and the longest wait.
 CLAMP_MARGIN = 8
 MAX_WAIT = 64
-LO_WIDEN = 1.05
 
 
 class MatrixFormatError(ValueError):
@@ -105,9 +101,8 @@ class WarmStart(NamedTuple):
     basis: np.ndarray | None = None  # the block warm_positive_eig starts from
     misses: int = 0  # due calls in a row with no certified warm result
     wait: int = 1  # calls left to skip before one is due
-    # From the last full spectrum: its lowest eigenvalue widened by LO_WIDEN,
-    # the filter's lower end, and its largest non-positive eigenvalue; 0
-    # before the first dense call.
+    # From the last full spectrum: its lowest eigenvalue, the filter's lower
+    # end, and its largest non-positive eigenvalue; 0 before the first dense call.
     lo: float = 0.0
     hi: float = 0.0
     anchor: Anchor | None = None  # the last factorized certificate
@@ -322,10 +317,10 @@ def clamp_eig(a: np.ndarray, warm: WarmStart) -> tuple[SpectralDecomposition, Wa
     Only the misses, the wait and the anchor pass to a skipped call, which
     reads nothing else. Else a full spectrum, dense or held, is held, with
     the lo and hi of the low-rank calls until the next full one: its
-    smallest eigenvalue, widened by LO_WIDEN, and its largest non-positive
-    one. The anchor passes from each low-rank call to the next. The next
-    basis is the positive eigen- or Ritz vectors plus CLAMP_MARGIN more, or
-    None past n / 3 columns, where eigh costs about as much.
+    smallest and its largest non-positive eigenvalue. The anchor passes
+    from each low-rank call to the next. The next basis is the positive
+    eigen- or Ritz vectors plus CLAMP_MARGIN more, or None past n / 3
+    columns, where eigh costs about as much.
     """
     basis, misses, wait, lo, hi, anchor, vectors = warm
     eig = None
@@ -347,7 +342,7 @@ def clamp_eig(a: np.ndarray, warm: WarmStart) -> tuple[SpectralDecomposition, Wa
     vectors = None
     if w.size == a.shape[0]:  # a full spectrum; a low-rank one is at most n / 3 wide
         nonpos = w[w <= 0.0]
-        lo = LO_WIDEN * float(w[0])
+        lo = float(w[0])
         hi = float(nonpos[-1]) if nonpos.size else 0.0
         vectors = eig.eigenvectors
     # A low-rank result has only the old basis's columns.

@@ -265,13 +265,16 @@ def solve(
     """Iterate until max(||P-Q||, ||P-R||, ||P_k - P_{k-1}||) <= tol * max(1, ||P||).
 
     Convergence also requires ||P|| and the three residuals to be finite.
-    History is sampled every record_every iterations plus the final one.
-    When saddle_ref is given, each record carries the saddle distance.
-    Hitting max_iter returns converged=False rather than raising. H goes
-    through ``require_symmetric``: it must be finite and symmetric within
-    its tolerance. initial is a start matrix, which ``init_state`` checks,
-    or a SolverState to iterate from as it is, such as one ``init_state``
-    built and checked once for several solves.
+    Runs at most max_iter steps; hitting that cap returns converged=False
+    rather than raising. History is sampled every record_every iterations
+    plus the final one. When saddle_ref is given, each record carries the
+    saddle distance. H goes through ``require_symmetric``: it must be finite
+    and symmetric within its tolerance. initial is a start matrix, which
+    ``init_state`` checks, or a SolverState to iterate from as it is, such
+    as one ``init_state`` built and checked once for several solves, or an
+    earlier result. The iteration counter goes on from that state's own, and
+    the history is numbered and sampled by it, so a result's last record is
+    its ``iterations``.
     """
     H = require_symmetric(H, name="H")
     if not isinstance(initial, SolverState):
@@ -293,9 +296,9 @@ def solve(
         converged = (math.isfinite(p_norm + residual_q + residual_r + delta_p)
                      and max(residual_q, residual_r, delta_p) <= params.tol * max(1.0, p_norm))
         final = converged or k == params.max_iter
-        if k % params.record_every == 0 or final:
+        if state.iteration % params.record_every == 0 or final:
             history.append(IterationRecord(
-                iteration=k,
+                iteration=state.iteration,
                 objective=objective(state.P, H, params.mu),
                 residual_q=residual_q,
                 residual_r=residual_r,

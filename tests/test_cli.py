@@ -354,6 +354,18 @@ def test_bad_start_matrix_fails_before_any_output(ex2_files, capsys, command, ke
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_wrong_size_start_matrix_fails_before_any_output(ex2_files, capsys, command):
+    # A feasible 2 x 2 start for the 3 x 3 instance; check_initial names the shapes.
+    write_matrix(ex2_files / "P0.mat", np.diag([1.0, 0.0]))
+    out = ex2_files / "out"
+    text = solve_cfg_text(ex2_files, out) + f"initial.path = {ex2_files / 'P0.mat'}\n"
+    assert main([command, "--config", write_cfg(ex2_files / "c.cfg", text)]) == 1
+    err = capsys.readouterr().err
+    assert "error: initial.path: initial matrix has shape (2, 2), expected (3, 3)" in err
+    assert not out.exists()
+
+
 def test_sweep_loads_start_matrices_once(ex2_files, monkeypatch):
     loaded = []
 

@@ -7,7 +7,6 @@ import pytest
 from sparsedm import linalg
 from sparsedm.linalg import (
     CLAMP_MARGIN,
-    LO_WIDEN,
     MAX_WAIT,
     WARM_RTOL,
     AsymmetricMatrixError,
@@ -355,7 +354,7 @@ def few_positive(rng, n, p):
 def dense_bounds(w):
     """The filter's lower end and the largest non-positive eigenvalue that
     clamp_eig keeps from the ascending spectrum w of a dense step."""
-    return LO_WIDEN * w[0], w[w <= 0][-1]
+    return w[0], w[w <= 0][-1]
 
 
 def test_spectral_clamp_given_full_decomposition_is_bitwise_dense():
@@ -405,8 +404,8 @@ def test_warm_clamp_within_residual_bound_of_dense(n, p, eps):
     rng = np.random.default_rng(n)
     a, _ = few_positive(rng, n, p)
     # The warm basis and the filter's lower end: the top eigenvectors and the
-    # widened lowest eigenvalue of a perturbed copy of a, as after a dense
-    # solver step. One filter pass gains about T_12 at the smallest positive
+    # lowest eigenvalue of a perturbed copy of a, as after a dense solver
+    # step. One filter pass gains about T_12 at the smallest positive
     # eigenvalue over [lo, 0], a few hundred here, so a 1e-8 perturbation
     # (about a late solver step) is certified and 1e-4 need not be.
     w, v = sym_eig(a + eps * random_symmetric(rng, n))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -208,6 +209,15 @@ def test_solve_from_a_start_state_matches_solve_from_its_matrix():
         solve(h, params, initial=init_state(np.eye(4), params))
 
 
+@pytest.mark.parametrize("record_every, recorded", [(1, [6, 7, 8, 9, 10]), (3, [6, 9, 10])])
+def test_resumed_solve_numbers_its_history_by_the_state_counter(record_every, recorded):
+    h = example2_h()
+    params = SolverParams(mu=1.0, n_occ=1, tol=1e-12, max_iter=5, record_every=record_every)
+    res = solve(h, params, initial=solve(h, params))
+    assert res.iterations == 10 and not res.converged
+    assert [rec.iteration for rec in res.history] == recorded
+
+
 def test_small_instance_reaches_known_minimum():
     h = example2_h()
     res = solve(h, SolverParams(mu=1.0, n_occ=1, tol=1e-8))
@@ -330,13 +340,30 @@ def dense_solve(monkeypatch, H=CHAIN_H, params=CHAIN_PARAMS):
     return path_solve(monkeypatch, H, params, DENSE)[0]
 
 
+class ClampCounts(NamedTuple):
+    """What the clamp of one solve did."""
+
+    eighs: int  # sym_eig calls
+    factorizations: int  # _has_cholesky calls
+    refusals: int  # warm_positive_eig calls that returned None
+
+
 def counted_solve(monkeypatch, H, params):
-    """solve, and the number of sym_eig calls its clamp made."""
-    calls = []
-    sym_eig = linalg.sym_eig
+    """solve, and the ClampCounts of its clamp."""
+    eighs, factorizations, refused = [], [], []
+    sym_eig, has_cholesky, warm = linalg.sym_eig, linalg._has_cholesky, linalg.warm_positive_eig
+
+    def counted_warm(*args):
+        found = warm(*args)
+        refused.append(found is None)
+        return found
+
     with monkeypatch.context() as m:
-        m.setattr(linalg, "sym_eig", lambda a: calls.append(a.shape) or sym_eig(a))
-        return solve(H, params), len(calls)
+        m.setattr(linalg, "sym_eig", lambda a: eighs.append(1) or sym_eig(a))
+        m.setattr(linalg, "_has_cholesky", lambda s: factorizations.append(1) or has_cholesky(s))
+        m.setattr(linalg, "warm_positive_eig", counted_warm)
+        res = solve(H, params)
+    return res, ClampCounts(len(eighs), len(factorizations), sum(refused))
 
 
 def path_solve(monkeypatch, H, params, failing=()):
@@ -349,10 +376,10 @@ def path_solve(monkeypatch, H, params, failing=()):
 
 
 def test_most_chain_steps_take_the_warm_clamp(monkeypatch):
-    res, eighs = counted_solve(monkeypatch, CHAIN_H, CHAIN_PARAMS)
+    res, counts = counted_solve(monkeypatch, CHAIN_H, CHAIN_PARAMS)
     assert res.converged
     # The first steps, with half the spectrum positive, run eigh.
-    assert 1 <= eighs < res.iterations / 2
+    assert 1 <= counts.eighs < res.iterations / 2
 
 
 def test_failing_warm_clamp_reproduces_dense_iterates_bitwise(monkeypatch):
@@ -417,8 +444,8 @@ FREE_H = build_laplacian_1d(Grid1D(50.0, 64))
 @pytest.mark.parametrize("mu", [5.0, 100.0])
 def test_free_laplacian_solve_runs_one_eigh(monkeypatch, mu):
     params = SolverParams(mu=mu, n_occ=5, lam=10.0, r=10.0, tol=1e-12, max_iter=200)
-    res, eighs = counted_solve(monkeypatch, FREE_H, params)
-    assert res.iterations == 200 and eighs == 1
+    res, counts = counted_solve(monkeypatch, FREE_H, params)
+    assert res.iterations == 200 and counts.eighs == 1
     dense = dense_solve(monkeypatch, FREE_H, params)
     # Each held clamp is within WARM_RTOL max(1, ||P + d||_F) of eigh's; as
     # in test_warm_solve_matches_dense_solve, k steps add up to k times that.
@@ -432,12 +459,12 @@ def test_held_eigenvectors_leave_the_chain_solve_bitwise_unchanged(monkeypatch):
     checks = []
     held = linalg.held_eig
     monkeypatch.setattr(linalg, "held_eig", lambda a, v: checks.append(held(a, v)) or checks[-1])
-    res, eighs = counted_solve(monkeypatch, CHAIN_H, CHAIN_PARAMS)
+    res, counts = counted_solve(monkeypatch, CHAIN_H, CHAIN_PARAMS)
     assert checks and all(c is None for c in checks)
     monkeypatch.setattr(linalg, "held_eig", lambda *_: None)
-    without, eighs_without = counted_solve(monkeypatch, CHAIN_H, CHAIN_PARAMS)
+    without, counts_without = counted_solve(monkeypatch, CHAIN_H, CHAIN_PARAMS)
     assert res.converged and res.iterations == without.iterations
-    assert eighs == eighs_without
+    assert counts == counts_without
     assert np.array_equal(res.P, without.P)
 
 
@@ -534,24 +561,26 @@ SYMMETRY_RUNS = {
 
 @pytest.fixture(scope="module")
 def symmetry_references():
-    """Each of SYMMETRY_RUNS solved once, with its sym_eig count."""
+    """Each of SYMMETRY_RUNS solved once, with its ClampCounts."""
     with pytest.MonkeyPatch.context() as m:
         return {run: path_solve(m, *args) for run, args in SYMMETRY_RUNS.items()}
 
 
 def test_free_laplacian_without_the_held_path_takes_the_low_rank_one(symmetry_references):
-    res, eighs = symmetry_references["free_low_rank"]
-    assert res.iterations == 300 and eighs < res.iterations / 10
+    res, counts = symmetry_references["free_low_rank"]
+    assert res.iterations == 300 and counts.eighs < res.iterations / 10
 
 
 @pytest.mark.parametrize("symmetry", sorted(SYMMETRIES))
 @pytest.mark.parametrize("run", sorted(SYMMETRY_RUNS))
 def test_solve_keeps_the_symmetries_of_the_problem(monkeypatch, symmetry_references, run, symmetry):
     H, params, failing = SYMMETRY_RUNS[run]
-    ref, ref_eighs = symmetry_references[run]
+    ref, ref_counts = symmetry_references[run]
     H, params, back = SYMMETRIES[symmetry](H, params)
-    res, eighs = path_solve(monkeypatch, H, params, failing)
-    assert (res.iterations, eighs) == (ref.iterations, ref_eighs)
+    res, counts = path_solve(monkeypatch, H, params, failing)
+    # The clamp takes the same paths: as many eighs, factorizations and
+    # refused warm attempts (6 and 3 on chain, 53 and 0 on free_low_rank).
+    assert (res.iterations, counts) == (ref.iterations, ref_counts)
     if symmetry == "scale_4":  # a power of two scales every float exactly
         assert np.array_equal(back(res.P), ref.P)
     else:
